@@ -16,12 +16,10 @@ from .graph import (
 )
 from .layout import LayoutPositions, compute_layout
 from .point_cloud import (
-    ColumnSelection,
     PointCloud,
     RawTable,
     StandardizationSpec,
     correlation_matrix,
-    describe,
     euclidean_distance,
     load_csv,
     standardize,
@@ -45,7 +43,6 @@ __all__ = [
     "BallDistributionTable",
     "BallMeansTable",
     "ColorScale",
-    "ColumnSelection",
     "GraphEdge",
     "GraphNode",
     "LayoutPositions",
@@ -65,7 +62,6 @@ __all__ = [
     "compute_layout",
     "connected_components",
     "correlation_matrix",
-    "describe",
     "euclidean_distance",
     "gen_gaussian_cloud",
     "gen_x_dataset",

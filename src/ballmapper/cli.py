@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import datagen, layout, render, summary
 from .cover import build_cover
-from .errors import NonPositiveEpsilonError, ValidationError
+from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
 from .point_cloud import RawTable, load_csv, standardize, validate_axes, write_csv
 from .point_cloud import write_point_cloud_csv
@@ -25,26 +24,6 @@ RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
     "source", "target", "x2", "y2", "shared",
 )
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    axes: tuple[str, ...]
-    epsilon: float
-    color: str | None = None
-    repulsion: float = layout.DEFAULT_REPULSION
-    attraction: float = layout.DEFAULT_ATTRACTION
-    labels: bool = False
-    standardize: bool = False
-    id_column: str | None = None
-    order: str = "data"
-    seed: int = 0
-    bins: int = DEFAULT_BIN_COUNT
-    iterations: int = layout.DEFAULT_ITERATIONS
-    svg_path: str = "bm_graph.svg"
-    results_path: str = "bm_results.csv"
-    merged_path: str = "bm_merged.csv"
 
 
 def _write_results_csv(path, graph, positions):
@@ -76,48 +55,44 @@ def _write_merged_csv(path, raw: RawTable, cover):
     write_csv(path, header, rows)
 
 
-def cmd_run(config: RunConfig) -> None:
-    if not config.epsilon > 0:
-        raise NonPositiveEpsilonError()
-    raw = load_csv(config.input_path)
-    for name in config.axes:
-        raw.column_index(name)  # fail early with the offending name
-    if config.id_column is not None:
-        raw.column_index(config.id_column)
-        if config.id_column in config.axes or config.id_column == config.color:
+def cmd_run(args: argparse.Namespace) -> None:
+    raw = load_csv(args.input)
+    if args.id_col is not None:
+        raw.column_index(args.id_col)
+        if args.id_col in args.axes or args.id_col == args.color:
             raise ValidationError(
-                f"id column {config.id_column!r} cannot also be an axis or color"
+                f"id column {args.id_col!r} cannot also be an axis or color"
             )
 
-    cloud, _dropped = validate_axes(raw, config.axes)
-    if config.standardize:
+    cloud, _dropped = validate_axes(raw, args.axes)
+    if args.standardize:
         cloud, std_spec = standardize(cloud)
         for name, mean, sd in zip(std_spec.columns, std_spec.means, std_spec.sds):
             print(f"standardized {name}: mean {mean:.6g}, sd {sd:.6g}")
 
     color_values = None
-    if config.color is not None:
-        color_values = raw.numeric_column(config.color)[list(cloud.row_ids)]
+    if args.color is not None:
+        color_values = raw.numeric_column(args.color)[list(cloud.row_ids)]
 
-    cover = build_cover(cloud, config.epsilon, order=config.order, seed=config.seed)
+    cover = build_cover(cloud, args.epsilon, order=args.order, seed=args.seed)
     graph = build_graph(cover, color_values)
     scale = None
-    if config.color is not None:
-        scale, graph = assign_bins(graph, config.bins)
+    if args.color is not None:
+        scale, graph = assign_bins(graph, args.bins)
 
     positions = layout.compute_layout(
-        graph, config.repulsion, config.attraction, config.iterations
+        graph, args.repulsion, args.attraction, args.iterations
     )
-    options = render.RenderOptions(show_labels=config.labels)
+    options = render.RenderOptions(show_labels=args.labels)
     svg = render.render_graph_svg(graph, positions, scale, options)
 
-    with open(config.svg_path, "w", encoding="utf-8", newline="") as f:
+    with open(args.svg, "w", encoding="utf-8", newline="") as f:
         f.write(svg)
-    _write_results_csv(config.results_path, graph, positions)
-    _write_merged_csv(config.merged_path, raw, cover)
+    _write_results_csv(args.results, graph, positions)
+    _write_merged_csv(args.merged, raw, cover)
     print(
-        f"Ball mapper run complete: graph {config.svg_path}, "
-        f"results {config.results_path}, merged {config.merged_path}"
+        f"Ball mapper run complete: graph {args.svg}, "
+        f"results {args.results}, merged {args.merged}"
     )
 
 
@@ -183,13 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default="bm_graph.svg")
     p.add_argument("--results", default="bm_results.csv")
     p.add_argument("--merged", default="bm_merged.csv")
-    p.set_defaults(func=lambda a: cmd_run(RunConfig(
-        input_path=a.input, axes=a.axes, epsilon=a.epsilon, color=a.color,
-        repulsion=a.repulsion, attraction=a.attraction, labels=a.labels,
-        standardize=a.standardize, id_column=a.id_col, order=a.order,
-        seed=a.seed, bins=a.bins, iterations=a.iterations,
-        svg_path=a.svg, results_path=a.results, merged_path=a.merged,
-    )))
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ball-summary", help="per-ball means from a merged CSV")
     p.add_argument("--merged", required=True)

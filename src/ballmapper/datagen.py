@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .point_cloud import PointCloud
 
 X_CENTERS = (
@@ -49,7 +50,7 @@ class XDatasetSpec:
 def gen_gaussian_cloud(n: int, k: int, seed: int = 0) -> PointCloud:
     """n i.i.d. standard-normal points in k dimensions, columns x1..xk."""
     if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+        raise ValidationError("n and k must be >= 1")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, k))
     names = tuple(f"x{j + 1}" for j in range(k))

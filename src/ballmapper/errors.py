@@ -5,7 +5,7 @@ bad input to exit code 1 and genuine I/O failures (plain OSError) to 2.
 """
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Invalid user input: malformed tables, bad column names, bad parameters."""
 
 

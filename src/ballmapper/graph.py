@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .cover import BallCover
-from .errors import ColorLengthMismatchError
+from .errors import ColorLengthMismatchError, ValidationError
 
 DEFAULT_BIN_COUNT = 8
 # Documented palette endpoints: low bins blue, high bins red.
@@ -42,9 +42,6 @@ class MapperGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def node(self, ball: int) -> GraphNode:
-        return self.nodes[ball - 1]
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ def assign_bins(
 ) -> tuple[ColorScale, MapperGraph]:
     """Attach a color bin to every node; requires color means on the graph."""
     if bin_count < 1:
-        raise ValueError("bin_count must be positive")
+        raise ValidationError("bin_count must be positive")
     if any(n.color_mean is None for n in graph.nodes):
         raise ValueError("graph has no color means to bin")
     if palette is None:

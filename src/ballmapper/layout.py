@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .graph import MapperGraph
 
 DEFAULT_REPULSION = 0.05
@@ -84,10 +85,10 @@ def compute_layout(
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot lay out an empty graph")
-    if repulsion <= 0 or attraction <= 0:
-        raise ValueError("repulsion and attraction must be positive")
+    if not (repulsion > 0 and attraction > 0):
+        raise ValidationError("repulsion and attraction must be positive")
     if iterations < 1:
-        raise ValueError("iterations must be positive")
+        raise ValidationError("iterations must be positive")
 
     balls = [n.ball for n in graph.nodes]
     if len(balls) == 1:

@@ -36,6 +36,20 @@ def format_value(x) -> str:
     return repr(v)
 
 
+def _parse_cell(cell: str, row: int, column: str) -> float:
+    """One numeric cell; NaN/inf literals count as non-numeric too."""
+    text = cell.strip()
+    if text == "":
+        raise MissingValueError(row, column)
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise NonNumericError(row, column, cell)
+    return v
+
+
 @dataclass(frozen=True)
 class RawTable:
     """A CSV file as read: header names plus string cells in file order."""
@@ -53,26 +67,10 @@ class RawTable:
         except ValueError:
             raise UnknownVariableError(name) from None
 
-    def column(self, name: str) -> list[str]:
-        j = self.column_index(name)
-        return [r[j] for r in self.rows]
-
     def numeric_column(self, name: str) -> np.ndarray:
         """Parse one column as float64, rejecting missing or non-numeric cells."""
         j = self.column_index(name)
-        out = np.empty(len(self.rows))
-        for i, row in enumerate(self.rows):
-            cell = row[j].strip()
-            if cell == "":
-                raise MissingValueError(i, name)
-            try:
-                v = float(cell)
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                raise NonNumericError(i, name, row[j])
-            out[i] = v
-        return out
+        return np.array([_parse_cell(r[j], i, name) for i, r in enumerate(self.rows)])
 
 
 @dataclass(frozen=True)
@@ -119,18 +117,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class ColumnSelection:
-    """Which columns span the space (axes) and which one colors it."""
-
-    axis_columns: tuple[str, ...]
-    color_column: str | None = None
-
-    def __post_init__(self):
-        if not self.axis_columns:
-            raise ValueError("at least one axis column is required")
-
-
-@dataclass(frozen=True)
 class StandardizationSpec:
     """Per-column mean and sample standard deviation used to rescale."""
 
@@ -143,17 +129,6 @@ class StandardizationSpec:
             raise ValueError("standardization requires positive standard deviations")
 
 
-@dataclass(frozen=True)
-class ColumnSummary:
-    """One describe() row: sd is None for a single observation."""
-
-    column: str
-    mean: float
-    sd: float | None
-    min: float
-    max: float
-
-
 def load_csv(path, delimiter: str = ",") -> RawTable:
     """Read a CSV file with a mandatory header row.
 
@@ -163,14 +138,14 @@ def load_csv(path, delimiter: str = ",") -> RawTable:
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f, delimiter=delimiter)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, expected a header row") from None
+        if any(not h for h in header):
+            raise CsvFormatError(f"{path}: blank header name")
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise CsvFormatError(f"{path}: duplicate header names {dupes}")
-        if any(not h.strip() for h in header):
-            raise CsvFormatError(f"{path}: blank header name")
         rows = []
         for row in reader:
             if not row:  # blank line
@@ -180,12 +155,12 @@ def load_csv(path, delimiter: str = ",") -> RawTable:
                     f"{path}: row {len(rows)} has {len(row)} cells, header has {len(header)}"
                 )
             rows.append(tuple(row))
-    return RawTable(tuple(h.strip() for h in header), tuple(rows))
+    return RawTable(tuple(header), tuple(rows))
 
 
 def validate_axes(
     raw: RawTable,
-    selection: ColumnSelection | Sequence[str],
+    selection: Sequence[str],
     drop_missing: bool = False,
 ) -> tuple[PointCloud, tuple[int, ...]]:
     """Build the numeric point cloud over the axis columns.
@@ -194,41 +169,30 @@ def validate_axes(
     non-numeric axis cells are a hard error unless drop_missing is set, in
     which case they are dropped and reported via the second return value.
     """
-    if isinstance(selection, ColumnSelection):
-        axes = selection.axis_columns
-    else:
-        axes = tuple(selection)
+    axes = tuple(selection)
     if not axes:
         raise ValidationError("at least one axis column is required")
+    repeated = [a for a in axes if axes.count(a) > 1]
+    if repeated:
+        raise ValidationError(f"axis column {repeated[0]!r} is given more than once")
     cols = [raw.column_index(a) for a in axes]
 
-    values = np.empty((raw.n_rows, len(axes)))
+    values = []
     keep = []
     dropped = []
     for i, row in enumerate(raw.rows):
-        ok = True
-        for k, j in enumerate(cols):
-            cell = row[j].strip()
-            if cell == "":
-                if not drop_missing:
-                    raise MissingValueError(i, axes[k])
-                ok = False
-                break
-            try:
-                v = float(cell)
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):  # NaN/inf literals count as non-numeric too
-                if not drop_missing:
-                    raise NonNumericError(i, axes[k], row[j])
-                ok = False
-                break
-            values[i, k] = v
-        (keep if ok else dropped).append(i)
+        try:  # cells parse left to right, so the first bad one in row-major order raises
+            values.append([_parse_cell(row[j], i, a) for j, a in zip(cols, axes)])
+        except (MissingValueError, NonNumericError):
+            if not drop_missing:
+                raise
+            dropped.append(i)
+        else:
+            keep.append(i)
     if not keep:
         raise EmptyAfterDropError()
 
-    cloud = PointCloud(tuple(axes), values[keep], tuple(keep))
+    cloud = PointCloud(axes, np.array(values), tuple(keep))
     return cloud, tuple(dropped)
 
 
@@ -266,26 +230,6 @@ def euclidean_distance(a, b) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a - b
     return float(np.sqrt(np.dot(d, d)))
-
-
-def describe(
-    cloud: PointCloud, columns: Sequence[str] | None = None, csv_path=None
-) -> list[ColumnSummary]:
-    """Mean, sample sd, min and max for each column, one row per column."""
-    names = tuple(columns) if columns is not None else cloud.column_names
-    out = []
-    for name in names:
-        col = cloud.column(name)
-        sd = float(col.std(ddof=1)) if len(col) > 1 else None
-        out.append(
-            ColumnSummary(name, float(col.mean()), sd, float(col.min()), float(col.max()))
-        )
-    if csv_path is not None:
-        rows = [
-            (r.column, r.mean, "" if r.sd is None else r.sd, r.min, r.max) for r in out
-        ]
-        write_csv(csv_path, ("column", "mean", "sd", "min", "max"), rows)
-    return out
 
 
 def correlation_matrix(

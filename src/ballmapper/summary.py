@@ -102,14 +102,12 @@ class BallDistributionTable:
         )
 
 
-def _groups_from_cover(cover: BallCover) -> dict[int, Sequence[int]]:
-    return {b: cover.members[b - 1] for b in cover.ball_ids}
-
-
 def ball_groups_from_merged(raw: RawTable, ball_column: str = "ball") -> dict[int, list[int]]:
     """Recover ball membership (row indices per ball id) from a merged CSV."""
     if ball_column not in raw.column_names:
         raise ValidationError(f"merged table has no {ball_column!r} column")
+    if not raw.rows:
+        raise ValidationError("merged table has no rows")
     j = raw.column_index(ball_column)
     groups: dict[int, list[int]] = {}
     for i, row in enumerate(raw.rows):
@@ -176,7 +174,7 @@ def ball_summary(
     Rows are indexed by the cover's member row ids, so the raw table must be
     the one the cover was built from.
     """
-    table = means_over_groups(raw, _groups_from_cover(cover), variables)
+    table = means_over_groups(raw, dict(zip(cover.ball_ids, cover.members)), variables)
     if csv_path is not None:
         table.write(csv_path)
     return table
@@ -189,7 +187,7 @@ def variable_summary(
     csv_path=None,
 ) -> BallDistributionTable:
     """Distribution (mean, sd, quartiles, extremes) of one variable per ball."""
-    table = distribution_over_groups(raw, _groups_from_cover(cover), variable)
+    table = distribution_over_groups(raw, dict(zip(cover.ball_ids, cover.members)), variable)
     if csv_path is not None:
         table.write(csv_path)
     return table

@@ -210,3 +210,33 @@ class TestGenCommand:
         code = run_cli(["gen", "moons", "-o", tmp_path / "m.csv"])
         assert code == 1
         assert "moons" in capsys.readouterr().err
+
+
+RUN_OUT = ["--svg", "{out}/g.svg", "--results", "{out}/r.csv", "--merged", "{out}/m.csv"]
+RUN_AUTO = ["run", "-i", "{auto}", "--axes", "mpg,weight", "-e", "1"]
+BAD_INPUT = {
+    "bins_zero": RUN_AUTO + ["--color", "price", "--bins", "0"] + RUN_OUT,
+    "iterations_zero": RUN_AUTO + ["--iterations", "0"] + RUN_OUT,
+    "repulsion_zero": RUN_AUTO + ["--repulsion", "0"] + RUN_OUT,
+    "attraction_negative": RUN_AUTO + ["--attraction", "-1"] + RUN_OUT,
+    "repeated_axis": ["run", "-i", "{auto}", "--axes", "mpg,mpg", "-e", "1"] + RUN_OUT,
+    "gauss_n_zero": ["gen", "gauss", "--n", "0", "-o", "{out}/g.csv"],
+    "gauss_k_zero": ["gen", "gauss", "--k", "0", "-o", "{out}/g.csv"],
+    "variable_summary_no_rows": ["variable-summary", "--merged", "{empty}", "--variable", "x",
+                                 "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"],
+    "ball_summary_no_rows": ["ball-summary", "--merged", "{empty}", "--variables", "x",
+                             "-o", "{out}/s.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    empty = tmp_path / "empty.csv"
+    empty.write_text("ball,x\n")
+    code = run_cli([a.format(auto=auto_csv, out=out, empty=empty) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []

@@ -12,9 +12,10 @@ from ballmapper.errors import (
     MissingValueError,
     NonNumericError,
     UnknownVariableError,
+    ValidationError,
     ZeroVarianceError,
 )
-from ballmapper.point_cloud import ColumnSummary, format_value
+from ballmapper.point_cloud import format_value
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -40,6 +41,10 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             bm.load_csv(write(tmp_path, "x,x\n1,2\n"))
 
+    def test_duplicate_header_after_stripping_rejected(self, tmp_path):
+        with pytest.raises(CsvFormatError, match="duplicate header names \\['a'\\]"):
+            bm.load_csv(write(tmp_path, "a, a\n1,2\n"))
+
     def test_ragged_row_rejected(self, tmp_path):
         with pytest.raises(CsvFormatError):
             bm.load_csv(write(tmp_path, "a,b\n1\n"))
@@ -49,7 +54,7 @@ class TestLoadCsv:
             bm.load_csv(tmp_path / "nope.csv")
 
     def test_text_columns_preserved(self, auto_raw):
-        assert auto_raw.column("make")[0] == "AMC Concord"
+        assert auto_raw.rows[0][auto_raw.column_index("make")] == "AMC Concord"
         assert auto_raw.n_rows == 74
 
     def test_alternate_delimiter(self, tmp_path):
@@ -105,14 +110,25 @@ class TestValidateAxes:
         with pytest.raises(EmptyAfterDropError):
             bm.validate_axes(raw, ("x",), drop_missing=True)
 
-    def test_column_selection_object_accepted(self, auto_raw):
-        selection = bm.ColumnSelection(("mpg", "weight"), color_column="price")
-        cloud, _ = bm.validate_axes(auto_raw, selection)
-        assert cloud.column_names == ("mpg", "weight")
+    def test_repeated_axis_named(self, auto_raw):
+        with pytest.raises(ValidationError, match="'mpg'"):
+            bm.validate_axes(auto_raw, ("mpg", "weight", "mpg"))
 
-    def test_color_may_be_an_axis(self):
-        selection = bm.ColumnSelection(("mpg",), color_column="mpg")
-        assert selection.color_column in selection.axis_columns
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        raw = bm.load_csv(write(tmp_path, "x,y\n1,2\n foo ,\n,bar\n"))
+        with pytest.raises(NonNumericError) as exc:
+            bm.validate_axes(raw, ("x", "y"))
+        assert (exc.value.row, exc.value.column, exc.value.cell) == (1, "x", " foo ")
+        assert str(exc.value) == "non-numeric cell ' foo ' in column 'x' at row 1"
+        with pytest.raises(MissingValueError) as exc:
+            bm.validate_axes(raw, ("y", "x"))
+        assert (exc.value.row, exc.value.column) == (1, "y")
+
+    def test_drop_missing_drops_whole_row(self, tmp_path):
+        raw = bm.load_csv(write(tmp_path, "x,y\n1,2\n3,inf\n4,5\n"))
+        cloud, dropped = bm.validate_axes(raw, ("x", "y"), drop_missing=True)
+        assert dropped == (1,)
+        assert cloud.values.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
 
 class TestPointCloudInvariants:
@@ -199,33 +215,6 @@ class TestEuclideanDistance:
             assert dab == bm.euclidean_distance(b, a)
             assert bm.euclidean_distance(a, a) == 0.0
             assert dab <= bm.euclidean_distance(a, c) + bm.euclidean_distance(c, b) + 1e-9
-
-
-class TestDescribe:
-    def test_auto_price_row(self, auto_raw):
-        cloud, _ = bm.validate_axes(auto_raw, ("price",))
-        (row,) = bm.describe(cloud)
-        assert row.mean == pytest.approx(6165.257, abs=0.0005)
-        assert row.sd == pytest.approx(2949.496, abs=0.0005)
-        assert (row.min, row.max) == (3291.0, 15906.0)
-
-    def test_single_value_column(self):
-        cloud = bm.PointCloud(("x",), np.array([[7.0]]), (0,))
-        (row,) = bm.describe(cloud)
-        assert row == ColumnSummary("x", 7.0, None, 7.0, 7.0)
-
-    def test_hand_computed(self):
-        cloud = bm.PointCloud(("x",), np.array([[1.0], [2.0], [3.0], [4.0]]), (0, 1, 2, 3))
-        (row,) = bm.describe(cloud)
-        assert row.mean == 2.5
-        assert row.sd == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-12)  # 1.2910
-        assert (row.min, row.max) == (1.0, 4.0)
-
-    def test_csv_has_empty_sd_field(self, tmp_path):
-        cloud = bm.PointCloud(("x",), np.array([[7.0]]), (0,))
-        out = tmp_path / "d.csv"
-        bm.describe(cloud, csv_path=out)
-        assert out.read_text().splitlines()[1] == "x,7,,7,7"
 
 
 class TestCorrelationMatrix:
