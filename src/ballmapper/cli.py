@@ -11,6 +11,9 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import secrets
 import sys
 
 from . import datagen, layout, render, summary
@@ -55,6 +58,42 @@ def _write_merged_csv(path, raw: RawTable, cover):
     write_csv(path, header, rows)
 
 
+def _write_all_or_none(writers) -> None:
+    """Write every (path, write) output, or leave every target as it was.
+
+    Each write(tmp_path) fills a fresh temp file beside its target; only when
+    all of them succeed are they moved into place with os.replace. A target
+    that is a directory is refused first, because os.replace onto it would
+    fail after the earlier outputs had already moved.
+    """
+    for path, _write in writers:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temps = []
+    try:
+        for path, write in writers:
+            head, tail = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+            try:
+                open(tmp, "x").close()  # claim the name with the usual permissions
+                temps.append(tmp)
+                write(tmp)
+            except OSError as exc:
+                exc.filename = str(path)  # report the target, not the temp name
+                raise
+        for tmp, (path, _write) in zip(temps, writers):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+
+
 def cmd_run(args: argparse.Namespace) -> None:
     raw = load_csv(args.input)
     if args.id_col is not None:
@@ -86,10 +125,11 @@ def cmd_run(args: argparse.Namespace) -> None:
     options = render.RenderOptions(show_labels=args.labels)
     svg = render.render_graph_svg(graph, positions, scale, options)
 
-    with open(args.svg, "w", encoding="utf-8", newline="") as f:
-        f.write(svg)
-    _write_results_csv(args.results, graph, positions)
-    _write_merged_csv(args.merged, raw, cover)
+    _write_all_or_none([
+        (args.svg, lambda p: _write_text(p, svg)),
+        (args.results, lambda p: _write_results_csv(p, graph, positions)),
+        (args.merged, lambda p: _write_merged_csv(p, raw, cover)),
+    ])
     print(
         f"Ball mapper run complete: graph {args.svg}, "
         f"results {args.results}, merged {args.merged}"
@@ -111,9 +151,7 @@ def cmd_variable_summary(merged_path, variable, out_path, boxplot_path=None) -> 
     table.write(out_path)
     written = [str(out_path)]
     if boxplot_path is not None:
-        svg = render.render_boxplot_svg(table.rows, title=variable)
-        with open(boxplot_path, "w", encoding="utf-8", newline="") as f:
-            f.write(svg)
+        _write_text(boxplot_path, render.render_boxplot_svg(table.rows, title=variable))
         written.append(str(boxplot_path))
     print(f"Summary of {variable!r} written to {', '.join(written)}")
 

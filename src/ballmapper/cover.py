@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEpsilonError
+from .errors import NonPositiveEpsilonError, ValidationError
 from .point_cloud import PointCloud
 
 
@@ -61,6 +61,8 @@ def build_cover(
 
     n = cloud.n
     if order == "shuffle":
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         scan_order = np.random.default_rng(seed).permutation(n)
     else:
         scan_order = np.arange(n)

@@ -47,11 +47,17 @@ class XDatasetSpec:
         return self.group_size * len(self.centers)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_gaussian_cloud(n: int, k: int, seed: int = 0) -> PointCloud:
     """n i.i.d. standard-normal points in k dimensions, columns x1..xk."""
     if n < 1 or k < 1:
         raise ValidationError("n and k must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     values = rng.standard_normal((n, k))
     names = tuple(f"x{j + 1}" for j in range(k))
     return PointCloud(names, values, tuple(range(n)))
@@ -65,7 +71,7 @@ def gen_x_dataset(spec: XDatasetSpec = XDatasetSpec()) -> PointCloud:
     y2 = group id, y3 = x1^2 + x2^2 + noise, y4 ~ N(0,1), and y5 = 1 exactly
     when 0 < x1 < 3 and 0 < x2 < 3.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _rng(spec.seed)
     n = spec.n
     base = rng.standard_normal((n, 2))
     theta1 = spec.noise_sd * rng.standard_normal(n)

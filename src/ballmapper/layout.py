@@ -40,23 +40,46 @@ def _simulate(
     attraction: float,
     iterations: int,
 ) -> np.ndarray:
-    """Run the force loop on raw coordinates (no normalization)."""
+    """Run the force loop on raw coordinates (no normalization).
+
+    Each round works on B x B float64 planes allocated once: dx[j, i] and
+    dy[j, i] hold pos[i] - pos[j] per axis, scale[j, i] the repulsion weight
+    of the pair, and tmp their products.
+    """
     pos = np.array(pos, dtype=float)
     n = pos.shape[0]
+    dx = np.empty((n, n))
+    dy = np.empty((n, n))
+    scale = np.empty((n, n))
+    tmp = np.empty((n, n))
+    coincident = np.empty((n, n), dtype=bool)
+    disp = np.empty((n, 2))
     for t in range(iterations):
         if iterations > 1:
             step = STEP_START + (STEP_END - STEP_START) * t / (iterations - 1)
         else:
             step = STEP_START
 
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = (diff ** 2).sum(axis=2)
-        np.fill_diagonal(d2, 1.0)
-        safe = np.maximum(d2, _MIN_DIST ** 2)
-        scale = repulsion / safe
-        scale[d2 <= _MIN_DIST ** 2] = 0.0
+        x = pos[:, 0]
+        y = pos[:, 1]
+        np.subtract(x[None, :], x[:, None], out=dx)
+        np.subtract(y[None, :], y[:, None], out=dy)
+        np.multiply(dx, dx, out=scale)
+        np.multiply(dy, dy, out=tmp)
+        np.add(scale, tmp, out=scale)  # squared distance d2
+        np.less_equal(scale, _MIN_DIST ** 2, out=coincident)
+        np.maximum(scale, _MIN_DIST ** 2, out=scale)
+        np.divide(repulsion, scale, out=scale)
+        np.copyto(scale, 0.0, where=coincident)
         np.fill_diagonal(scale, 0.0)
-        disp = (diff * scale[:, :, None]).sum(axis=1)
+        # Node i's push is the sum over j of (pos[i] - pos[j]) * scale, added
+        # one j after another. Reducing over axis 0 adds the rows in exactly
+        # that order, which keeps positions, and so the golden output pins,
+        # bitwise unchanged; a reduction over axis 1 would sum pairwise.
+        np.multiply(dx, scale, out=tmp)
+        np.sum(tmp, axis=0, out=disp[:, 0])
+        np.multiply(dy, scale, out=tmp)
+        np.sum(tmp, axis=0, out=disp[:, 1])
 
         if edge_index.size:
             delta = pos[edge_index[:, 0]] - pos[edge_index[:, 1]]

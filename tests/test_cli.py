@@ -97,6 +97,36 @@ class TestRun:
         assert sum(int(n["size"]) for n in nodes) == len(merged)
 
 
+    def test_merged_directory_leaves_stale_outputs(self, auto_csv, tmp_path, capsys):
+        stale = {"g.svg": b"stale svg", "r.csv": b"stale results"}
+        for name, data in stale.items():
+            (tmp_path / name).write_bytes(data)
+        (tmp_path / "m").mkdir()
+        code = run_cli(["run", "-i", auto_csv, "--axes", "mpg,weight", "-e", "1",
+                        "--svg", tmp_path / "g.svg", "--results", tmp_path / "r.csv",
+                        "--merged", tmp_path / "m"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        for name, data in stale.items():
+            assert (tmp_path / name).read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["auto.csv", "g.svg", "m", "r.csv"]
+        assert list((tmp_path / "m").iterdir()) == []
+
+    def test_missing_output_directory_writes_nothing(self, auto_csv, tmp_path, capsys):
+        code = run_cli(["run", "-i", auto_csv, "--axes", "mpg,weight", "-e", "1",
+                        "--svg", tmp_path / "g.svg", "--results", tmp_path / "r.csv",
+                        "--merged", tmp_path / "no" / "m.csv"])
+        assert code == 2
+        assert str(tmp_path / "no" / "m.csv") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["auto.csv"]
+
+    def test_negative_seed_ignored_in_data_order(self, auto_csv, tmp_path):
+        assert run_cli(auto_run_args(auto_csv, tmp_path, "1") + ["--seed", "-1"]) == 0
+        assert run_cli(auto_run_args(auto_csv, tmp_path, "2")) == 0
+        for a, b in (("g1.svg", "g2.svg"), ("r1.csv", "r2.csv"), ("m1.csv", "m2.csv")):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
 class TestBallSummaryCommand:
     def test_toy_merged(self, tmp_path):
         merged = tmp_path / "m.csv"
@@ -222,6 +252,9 @@ BAD_INPUT = {
     "repeated_axis": ["run", "-i", "{auto}", "--axes", "mpg,mpg", "-e", "1"] + RUN_OUT,
     "gauss_n_zero": ["gen", "gauss", "--n", "0", "-o", "{out}/g.csv"],
     "gauss_k_zero": ["gen", "gauss", "--k", "0", "-o", "{out}/g.csv"],
+    "shuffle_negative_seed": RUN_AUTO + ["--order", "shuffle", "--seed", "-1"] + RUN_OUT,
+    "gauss_negative_seed": ["gen", "gauss", "--seed", "-1", "-o", "{out}/g.csv"],
+    "x_negative_seed": ["gen", "x", "--seed", "-1", "-o", "{out}/x.csv"],
     "variable_summary_no_rows": ["variable-summary", "--merged", "{empty}", "--variable", "x",
                                  "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"],
     "ball_summary_no_rows": ["ball-summary", "--merged", "{empty}", "--variables", "x",
