@@ -89,13 +89,29 @@ def _write_all_or_none(writers) -> None:
                 os.remove(tmp)
 
 
+def _refuse_same_file(paths) -> None:
+    """Refuse two flags whose paths resolve to one file, before anything is read."""
+    seen = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValidationError(f"{seen[real]} and {flag} name the same file {str(path)!r}")
+        seen[real] = flag
+
+
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
 
 
 def cmd_run(args: argparse.Namespace) -> None:
+    _refuse_same_file({"--input": args.input, "--svg": args.svg,
+                       "--results": args.results, "--merged": args.merged})
     raw = load_csv(args.input)
+    if "ball" in raw.column_names:
+        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
     if args.id_col is not None:
         raw.column_index(args.id_col)
         if args.id_col in args.axes or args.id_col == args.color:
@@ -137,6 +153,7 @@ def cmd_run(args: argparse.Namespace) -> None:
 
 
 def cmd_ball_summary(merged_path, variables, out_path) -> None:
+    _refuse_same_file({"--merged": merged_path, "--out": out_path})
     raw = load_csv(merged_path)
     groups = summary.ball_groups_from_merged(raw)
     table = summary.means_over_groups(raw, groups, variables)
@@ -145,15 +162,16 @@ def cmd_ball_summary(merged_path, variables, out_path) -> None:
 
 
 def cmd_variable_summary(merged_path, variable, out_path, boxplot_path=None) -> None:
+    _refuse_same_file({"--merged": merged_path, "--out": out_path, "--boxplot": boxplot_path})
     raw = load_csv(merged_path)
     groups = summary.ball_groups_from_merged(raw)
     table = summary.distribution_over_groups(raw, groups, variable)
-    table.write(out_path)
-    written = [str(out_path)]
+    writers = [(out_path, table.write)]
     if boxplot_path is not None:
-        _write_text(boxplot_path, render.render_boxplot_svg(table.rows, title=variable))
-        written.append(str(boxplot_path))
-    print(f"Summary of {variable!r} written to {', '.join(written)}")
+        svg = render.render_boxplot_svg(table.rows, title=variable)
+        writers.append((boxplot_path, lambda p: _write_text(p, svg)))
+    _write_all_or_none(writers)
+    print(f"Summary of {variable!r} written to {', '.join(str(p) for p, _ in writers)}")
 
 
 def cmd_gen(dataset, out_path, seed, n, k) -> None:

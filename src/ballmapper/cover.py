@@ -73,17 +73,15 @@ def build_cover(
     members: list[tuple[int, ...]] = []
     row_ids = np.asarray(cloud.row_ids)
 
-    while True:
-        uncovered = scan_order[~covered[scan_order]]
-        if uncovered.size == 0:
-            break
-        lm = int(uncovered[0])
+    for lm in scan_order.tolist():
+        if covered[lm]:
+            continue
         diff = pts - pts[lm]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         in_ball = np.nonzero(dist <= epsilon)[0]
         covered[in_ball] = True
         landmarks.append(int(row_ids[lm]))
-        members.append(tuple(int(r) for r in row_ids[in_ball]))
+        members.append(tuple(row_ids[in_ball].tolist()))
 
     return BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
 

@@ -1,13 +1,14 @@
 """Abstract graph over a ball cover: sized nodes, overlap edges, color bins."""
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .cover import BallCover
+from .cover import BallCover, membership_matrix
 from .errors import ColorLengthMismatchError, ValidationError
 
 DEFAULT_BIN_COUNT = 8
@@ -104,14 +105,12 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
         for b, m in enumerate(cover.members, start=1)
     )
 
-    member_sets = [set(m) for m in cover.members]
-    edges = []
-    for q in range(cover.n_balls):
-        for s in range(q + 1, cover.n_balls):
-            shared = len(member_sets[q] & member_sets[s])
-            if shared:
-                edges.append(GraphEdge(q + 1, s + 1, shared))
-    return MapperGraph(nodes, tuple(edges))
+    # Each point adds one to the shared count of every pair of balls holding it.
+    shared: Counter[tuple[int, int]] = Counter()
+    for balls in membership_matrix(cover).values():
+        shared.update(combinations(balls, 2))
+    edges = tuple(GraphEdge(q, s, n) for (q, s), n in sorted(shared.items()))
+    return MapperGraph(nodes, edges)
 
 
 def assign_bins(

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ballmapper as bm
 
@@ -36,3 +39,26 @@ def random_cloud(rng, n=None, k=None):
     k = k if k is not None else int(rng.integers(1, 6))
     values = rng.normal(size=(n, k))
     return bm.PointCloud(tuple(f"x{j}" for j in range(k)), values, tuple(range(n)))
+
+
+@st.composite
+def cover_inputs(draw):
+    """(cloud, epsilon, order, seed) for build_cover, as the oracle tests use them.
+
+    Half the clouds lie on a small integer lattice with a radius of 1, 2,
+    sqrt(2) or sqrt(3), so many pairs sit exactly on the inclusive boundary.
+    Row ids are ascending with gaps, so position and row id differ.
+    """
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+        epsilon = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0), math.sqrt(3.0)]))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, k))
+        epsilon = draw(st.floats(0.2, 3.0))
+    row_ids = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    cloud = bm.PointCloud(tuple(f"x{j}" for j in range(k)), values, tuple(row_ids))
+    order = draw(st.sampled_from(["data", "shuffle"]))
+    return cloud, epsilon, order, draw(st.integers(0, 2**32 - 1))

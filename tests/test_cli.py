@@ -216,6 +216,25 @@ class TestVariableSummaryCommand:
         for row in read_rows(out):
             assert row["sd"] == "0"
 
+    @pytest.mark.parametrize("stale", [None, b"stale stats"])
+    def test_boxplot_directory_writes_nothing(self, tmp_path, capsys, stale):
+        merged = tmp_path / "m.csv"
+        merged.write_text("ball,x\n1,0\n1,2\n")
+        out = tmp_path / "s.csv"
+        if stale is not None:
+            out.write_bytes(stale)
+        (tmp_path / "box").mkdir()
+        code = run_cli(["variable-summary", "--merged", merged, "--variable", "x",
+                        "-o", out, "--boxplot", tmp_path / "box"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        if stale is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == stale
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            ["m.csv", "box"] + ([] if stale is None else ["s.csv"]))
+
 
 class TestGenCommand:
     def test_x_schema(self, tmp_path):
@@ -249,6 +268,21 @@ BAD_INPUT = {
     "iterations_zero": RUN_AUTO + ["--iterations", "0"] + RUN_OUT,
     "repulsion_zero": RUN_AUTO + ["--repulsion", "0"] + RUN_OUT,
     "attraction_negative": RUN_AUTO + ["--attraction", "-1"] + RUN_OUT,
+    "ball_column": ["run", "-i", "{balled}", "--axes", "x", "-e", "1"] + RUN_OUT,
+    "svg_is_results": RUN_AUTO + ["--svg", "{out}/g.svg", "--results", "{out}/g.svg",
+                                  "--merged", "{out}/m.csv"],
+    "all_outputs_one_file": RUN_AUTO + ["--svg", "{out}/o", "--results", "{out}/o",
+                                        "--merged", "{out}/o"],
+    "summary_out_is_boxplot": ["variable-summary", "--merged", "{balled}", "--variable", "x",
+                               "-o", "{out}/s", "--boxplot", "{out}/./s"],
+    "merged_is_input": RUN_AUTO + ["--svg", "{out}/g.svg", "--results", "{out}/r.csv",
+                                   "--merged", "{auto}"],
+    "svg_is_input_via_symlink": RUN_AUTO + ["--svg", "{link}", "--results", "{out}/r.csv",
+                                            "--merged", "{out}/m.csv"],
+    "ball_summary_out_is_merged": ["ball-summary", "--merged", "{balled}", "--variables", "x",
+                                   "-o", "{balled}"],
+    "boxplot_is_merged": ["variable-summary", "--merged", "{balled}", "--variable", "x",
+                          "-o", "{out}/s.csv", "--boxplot", "{balled}"],
     "repeated_axis": ["run", "-i", "{auto}", "--axes", "mpg,mpg", "-e", "1"] + RUN_OUT,
     "gauss_n_zero": ["gen", "gauss", "--n", "0", "-o", "{out}/g.csv"],
     "gauss_k_zero": ["gen", "gauss", "--k", "0", "-o", "{out}/g.csv"],
@@ -268,8 +302,15 @@ def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, cap
     out.mkdir()
     empty = tmp_path / "empty.csv"
     empty.write_text("ball,x\n")
-    code = run_cli([a.format(auto=auto_csv, out=out, empty=empty) for a in argv])
+    balled = tmp_path / "balled.csv"
+    balled.write_text("ball,x\n1,0\n2,1\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(auto_csv)
+    inputs = {p: p.read_bytes() for p in (auto_csv, empty, balled)}
+    code = run_cli([a.format(auto=auto_csv, out=out, empty=empty, balled=balled, link=link)
+                    for a in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+    assert {p: p.read_bytes() for p in inputs} == inputs

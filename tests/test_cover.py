@@ -1,10 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ballmapper as bm
 from ballmapper.errors import NonPositiveEpsilonError
 
-from conftest import random_cloud
+from conftest import cover_inputs, random_cloud
+
+
+def _cover_reference(cloud, epsilon, order="data", seed=0):
+    """The original loop that re-gathers the uncovered set before each landmark,
+    kept verbatim as the oracle."""
+    n = cloud.n
+    if order == "shuffle":
+        scan_order = np.random.default_rng(seed).permutation(n)
+    else:
+        scan_order = np.arange(n)
+
+    pts = cloud.values
+    covered = np.zeros(n, dtype=bool)
+    landmarks = []
+    members = []
+    row_ids = np.asarray(cloud.row_ids)
+
+    while True:
+        uncovered = scan_order[~covered[scan_order]]
+        if uncovered.size == 0:
+            break
+        lm = int(uncovered[0])
+        diff = pts - pts[lm]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        in_ball = np.nonzero(dist <= epsilon)[0]
+        covered[in_ball] = True
+        landmarks.append(int(row_ids[lm]))
+        members.append(tuple(int(r) for r in row_ids[in_ball]))
+
+    return bm.BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
 
 
 def brute_force_members(cloud, epsilon, landmark_row):
@@ -60,6 +91,21 @@ class TestBuildCover:
         c = bm.build_cover(cloud, 0.7, order="shuffle", seed=10)
         assert a == b
         assert a != c  # different permutation picks different landmarks
+
+    @given(cover_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rescan_reference(self, inputs):
+        cover = bm.build_cover(*inputs)
+        assert cover == _cover_reference(*inputs)
+        assert all(type(r) is int for r in cover.landmarks)
+        assert all(type(r) is int for m in cover.members for r in m)
+
+    @pytest.mark.parametrize("order", ["data", "shuffle"])
+    def test_matches_rescan_reference_on_gaussian_cloud(self, order):
+        cloud = bm.gen_gaussian_cloud(2000, 3, seed=4)
+        cover = bm.build_cover(cloud, 0.5, order=order, seed=8)
+        assert cover.n_balls > 100
+        assert cover == _cover_reference(cloud, 0.5, order, 8)
 
     def test_repeat_runs_identical(self, auto_cover, auto_raw):
         cloud, _ = bm.validate_axes(

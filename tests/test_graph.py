@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ballmapper as bm
 from ballmapper.errors import ColorLengthMismatchError
 from ballmapper.graph import default_palette
 
-from conftest import random_cloud
+from conftest import cover_inputs, random_cloud
+
+
+def _edges_reference(cover):
+    """The original all-pairs set-intersection loop, kept verbatim as the oracle."""
+    member_sets = [set(m) for m in cover.members]
+    edges = []
+    for q in range(cover.n_balls):
+        for s in range(q + 1, cover.n_balls):
+            shared = len(member_sets[q] & member_sets[s])
+            if shared:
+                edges.append(bm.GraphEdge(q + 1, s + 1, shared))
+    return tuple(edges)
 
 
 class TestBuildGraph:
@@ -43,21 +56,19 @@ class TestBuildGraph:
             if np.all(y5[members] == 0.0):
                 assert n.color_mean == 0.0
 
-    def test_edges_match_brute_force_intersections(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            cloud = random_cloud(rng, n=160, k=3)
-            cover = bm.build_cover(cloud, 0.6)
-            g = bm.build_graph(cover)
-            expected = set()
-            for q in range(cover.n_balls):
-                for s in range(q + 1, cover.n_balls):
-                    inter = set(cover.members[q]) & set(cover.members[s])
-                    if inter:
-                        expected.add((q + 1, s + 1, len(inter)))
-            assert {(e.source, e.target, e.shared) for e in g.edges} == expected
-            assert all(e.shared >= 1 for e in g.edges)
-            assert all(e.source < e.target for e in g.edges)
+    @given(cover_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_brute_force_intersections(self, inputs):
+        cover = bm.build_cover(*inputs)
+        edges = bm.build_graph(cover).edges
+        assert edges == _edges_reference(cover)
+        assert all(e.shared >= 1 and e.source < e.target for e in edges)
+
+    @pytest.mark.parametrize("order", ["data", "shuffle"])
+    def test_edges_match_reference_on_gaussian_cloud(self, order):
+        cover = bm.build_cover(bm.gen_gaussian_cloud(2000, 3, seed=4), 0.5, order=order, seed=8)
+        assert cover.n_balls > 100
+        assert bm.build_graph(cover).edges == _edges_reference(cover)
 
     def test_constant_color(self, line_cover):
         g = bm.build_graph(line_cover, [5.0, 5.0, 5.0])
