@@ -14,7 +14,7 @@ from .graph import (
     build_graph,
     connected_components,
 )
-from .layout import LayoutPositions, compute_layout
+from .layout import compute_layout
 from .point_cloud import (
     PointCloud,
     RawTable,
@@ -45,7 +45,6 @@ __all__ = [
     "ColorScale",
     "GraphEdge",
     "GraphNode",
-    "LayoutPositions",
     "MapperGraph",
     "PointCloud",
     "RawTable",

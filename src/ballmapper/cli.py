@@ -112,12 +112,6 @@ def cmd_run(args: argparse.Namespace) -> None:
     raw = load_csv(args.input)
     if "ball" in raw.column_names:
         raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
-    if args.id_col is not None:
-        raw.column_index(args.id_col)
-        if args.id_col in args.axes or args.id_col == args.color:
-            raise ValidationError(
-                f"id column {args.id_col!r} cannot also be an axis or color"
-            )
 
     cloud, _dropped = validate_axes(raw, args.axes)
     if args.standardize:
@@ -206,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attraction", type=float, default=layout.DEFAULT_ATTRACTION)
     p.add_argument("--labels", action="store_true")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--id-col", default=None)
     p.add_argument("--order", choices=("data", "shuffle"), default="data")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)

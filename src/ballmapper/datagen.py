@@ -25,6 +25,9 @@ X_CENTERS = (
     (6.0, -6.0),
 )
 
+X_GROUP_SIZE = 100  # points per center
+X_NOISE_SD = 0.2  # sd of the additive noise on the linear and quadratic outcomes
+
 X_COLUMNS = ("x1", "x2", "y1", "y2", "y3", "y4", "y5", "group")
 
 
@@ -32,19 +35,11 @@ X_COLUMNS = ("x1", "x2", "y1", "y2", "y3", "y4", "y5", "group")
 class XDatasetSpec:
     """Recipe for the nine-cluster cross-shaped benchmark.
 
-    Blocks of group_size standard-normal pairs are translated onto the listed
-    centers (group g uses centers[g-1]). noise_sd is the standard deviation of
-    the additive noise on the linear and quadratic outcomes.
+    Blocks of X_GROUP_SIZE standard-normal pairs are translated onto
+    X_CENTERS (group g uses X_CENTERS[g-1]).
     """
 
     seed: int = 0
-    group_size: int = 100
-    centers: tuple[tuple[float, float], ...] = X_CENTERS
-    noise_sd: float = 0.2
-
-    @property
-    def n(self) -> int:
-        return self.group_size * len(self.centers)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -72,15 +67,15 @@ def gen_x_dataset(spec: XDatasetSpec = XDatasetSpec()) -> PointCloud:
     when 0 < x1 < 3 and 0 < x2 < 3.
     """
     rng = _rng(spec.seed)
-    n = spec.n
+    n = X_GROUP_SIZE * len(X_CENTERS)
     base = rng.standard_normal((n, 2))
-    theta1 = spec.noise_sd * rng.standard_normal(n)
-    theta3 = spec.noise_sd * rng.standard_normal(n)
+    theta1 = X_NOISE_SD * rng.standard_normal(n)
+    theta3 = X_NOISE_SD * rng.standard_normal(n)
     phi = rng.standard_normal(n)
 
-    shifts = np.repeat(np.asarray(spec.centers, dtype=float), spec.group_size, axis=0)
+    shifts = np.repeat(np.asarray(X_CENTERS, dtype=float), X_GROUP_SIZE, axis=0)
     xy = base + shifts
-    group = np.repeat(np.arange(1, len(spec.centers) + 1), spec.group_size).astype(float)
+    group = np.repeat(np.arange(1, len(X_CENTERS) + 1), X_GROUP_SIZE).astype(float)
 
     x1 = xy[:, 0]
     x2 = xy[:, 1]

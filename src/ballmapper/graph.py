@@ -1,6 +1,7 @@
 """Abstract graph over a ball cover: sized nodes, overlap edges, color bins."""
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -95,10 +96,12 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
         by_row = dict(zip(cover.row_ids, vals))
-        means = [
-            float(np.mean([by_row[r] for r in member_rows]))
-            for member_rows in cover.members
-        ]
+        # A mean that overflows is left as inf or nan for assign_bins to refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = [
+                float(np.mean([by_row[r] for r in member_rows]))
+                for member_rows in cover.members
+            ]
 
     nodes = tuple(
         GraphNode(ball=b, size=len(m), color_mean=means[b - 1])
@@ -114,24 +117,23 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
 
 
 def assign_bins(
-    graph: MapperGraph,
-    bin_count: int = DEFAULT_BIN_COUNT,
-    palette: Sequence[str] | None = None,
+    graph: MapperGraph, bin_count: int = DEFAULT_BIN_COUNT
 ) -> tuple[ColorScale, MapperGraph]:
     """Attach a color bin to every node; requires color means on the graph."""
     if bin_count < 1:
         raise ValidationError("bin_count must be positive")
     if any(n.color_mean is None for n in graph.nodes):
         raise ValueError("graph has no color means to bin")
-    if palette is None:
-        palette = default_palette(bin_count)
-    elif len(palette) != bin_count:
-        raise ValueError("palette length must equal bin_count")
 
     means = [n.color_mean for n in graph.nodes]
-    lo, hi = min(means), max(means)
+    lo, hi = float(np.min(means)), float(np.max(means))  # unlike min(), these keep a NaN
+    width = (hi - lo) / bin_count
+    if not math.isfinite(width) or width == 0 < hi - lo:
+        raise ValidationError(
+            f"color means span [{lo:.6g}, {hi:.6g}]: bin width {width:.6g} is out of float64 range"
+        )
     boundaries = tuple(lo + (hi - lo) * i / bin_count for i in range(bin_count + 1))
-    scale = ColorScale(bin_count, boundaries, tuple(palette))
+    scale = ColorScale(bin_count, boundaries, default_palette(bin_count))
     nodes = tuple(replace(n, color_bin=scale.bin_for(n.color_mean)) for n in graph.nodes)
     return scale, MapperGraph(nodes, graph.edges)
 

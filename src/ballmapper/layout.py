@@ -7,7 +7,7 @@ so downstream SVG output is byte-stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -20,17 +20,6 @@ DEFAULT_ITERATIONS = 500
 STEP_START = 0.1
 STEP_END = 0.001
 _MIN_DIST = 1e-12  # coincident nodes exert no repulsion on each other
-
-
-@dataclass(frozen=True)
-class LayoutPositions:
-    """Final (x, y) per ball id plus the bounding box of all positions."""
-
-    positions: dict[int, tuple[float, float]]
-    bounds: tuple[float, float, float, float]
-
-    def __getitem__(self, ball: int) -> tuple[float, float]:
-        return self.positions[ball]
 
 
 def _simulate(
@@ -100,22 +89,22 @@ def compute_layout(
     repulsion: float = DEFAULT_REPULSION,
     attraction: float = DEFAULT_ATTRACTION,
     iterations: int = DEFAULT_ITERATIONS,
-) -> LayoutPositions:
-    """Place nodes; output is rescaled per axis into the unit square.
+) -> dict[int, tuple[float, float]]:
+    """Place nodes: the (x, y) of each ball id, rescaled per axis into the unit square.
 
     A single node sits at the origin. An axis with no spread collapses to the
     midline 0.5 instead of dividing by zero.
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot lay out an empty graph")
-    if not (repulsion > 0 and attraction > 0):
-        raise ValidationError("repulsion and attraction must be positive")
+    if not (0 < repulsion < math.inf and 0 < attraction < math.inf):
+        raise ValidationError("repulsion and attraction must be positive and finite")
     if iterations < 1:
         raise ValidationError("iterations must be positive")
 
     balls = [n.ball for n in graph.nodes]
     if len(balls) == 1:
-        return LayoutPositions({balls[0]: (0.0, 0.0)}, (0.0, 0.0, 0.0, 0.0))
+        return {balls[0]: (0.0, 0.0)}
 
     index = {b: i for i, b in enumerate(balls)}
     angles = 2.0 * np.pi * np.arange(len(balls)) / len(balls)
@@ -136,8 +125,4 @@ def compute_layout(
         else:
             out[:, axis] = 0.5
 
-    positions = {b: (float(out[i, 0]), float(out[i, 1])) for b, i in index.items()}
-    xs = out[:, 0]
-    ys = out[:, 1]
-    bounds = (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
-    return LayoutPositions(positions, bounds)
+    return {b: (float(out[i, 0]), float(out[i, 1])) for b, i in index.items()}

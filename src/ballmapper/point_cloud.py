@@ -57,10 +57,6 @@ class RawTable:
     column_names: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def column_index(self, name: str) -> int:
         try:
             return self.column_names.index(name)
@@ -129,14 +125,14 @@ class StandardizationSpec:
             raise ValueError("standardization requires positive standard deviations")
 
 
-def load_csv(path, delimiter: str = ",") -> RawTable:
+def load_csv(path) -> RawTable:
     """Read a CSV file with a mandatory header row.
 
     Text columns are preserved verbatim so identifier columns survive the
     round trip; numeric interpretation happens later in validate_axes.
     """
     with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f, delimiter=delimiter)
+        reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -158,6 +154,17 @@ def load_csv(path, delimiter: str = ",") -> RawTable:
     return RawTable(tuple(header), tuple(rows))
 
 
+def distinct_names(names: Sequence[str], what: str) -> tuple[str, ...]:
+    """The names as a tuple; refuses an empty selection and a repeated name."""
+    names = tuple(names)
+    if not names:
+        raise ValidationError(f"at least one {what} is required")
+    repeated = [n for n in names if names.count(n) > 1]
+    if repeated:
+        raise ValidationError(f"{what} {repeated[0]!r} is given more than once")
+    return names
+
+
 def validate_axes(
     raw: RawTable,
     selection: Sequence[str],
@@ -169,12 +176,7 @@ def validate_axes(
     non-numeric axis cells are a hard error unless drop_missing is set, in
     which case they are dropped and reported via the second return value.
     """
-    axes = tuple(selection)
-    if not axes:
-        raise ValidationError("at least one axis column is required")
-    repeated = [a for a in axes if axes.count(a) > 1]
-    if repeated:
-        raise ValidationError(f"axis column {repeated[0]!r} is given more than once")
+    axes = distinct_names(selection, "axis column")
     cols = [raw.column_index(a) for a in axes]
 
     values = []
@@ -232,14 +234,10 @@ def euclidean_distance(a, b) -> float:
     return float(np.sqrt(np.dot(d, d)))
 
 
-def correlation_matrix(
-    cloud: PointCloud, columns: Sequence[str] | None = None
-) -> np.ndarray:
-    """Pearson correlations; exactly 1 on the diagonal, bitwise symmetric."""
-    names = tuple(columns) if columns is not None else cloud.column_names
-    std_cloud, _ = standardize(cloud, names)  # rejects zero-variance columns
-    z = np.column_stack([std_cloud.column(n) for n in names])
-    k = len(names)
+def correlation_matrix(cloud: PointCloud) -> np.ndarray:
+    """Pearson correlations of all columns; exactly 1 on the diagonal, bitwise symmetric."""
+    z = standardize(cloud)[0].values  # rejects zero-variance columns
+    k = cloud.k
     m = np.empty((k, k))
     for i in range(k):
         m[i, i] = 1.0

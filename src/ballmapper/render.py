@@ -12,80 +12,72 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .graph import FALLBACK_FILL, ColorScale, MapperGraph
-from .layout import LayoutPositions
 
-SVG_OPEN = '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
+WIDTH = 900
+HEIGHT = 640
+MIN_RADIUS = 4.0
+MAX_RADIUS = 32.0
+EDGE_COLOR = "#9a9a9a"
+EDGE_WIDTH = 1.5
+NODE_STROKE = "#333333"
+BACKGROUND = "#ffffff"
+
+SVG_OPEN = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+    f'viewBox="0 0 {WIDTH} {HEIGHT}">'
+)
+BACKGROUND_RECT = f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>'
 
 
 @dataclass(frozen=True)
 class RenderOptions:
-    width: int = 900
-    height: int = 640
     show_labels: bool = False
-    min_radius: float = 4.0
-    max_radius: float = 32.0
-    edge_color: str = "#9a9a9a"
-    edge_width: float = 1.5
-    node_stroke: str = "#333333"
-    legend: bool = True
-    background: str = "#ffffff"
-
-    def __post_init__(self):
-        if self.min_radius <= 0:
-            raise ValueError("min disc radius must be positive")
-        if self.max_radius < self.min_radius:
-            raise ValueError("max disc radius must be >= min disc radius")
 
 
 def _num(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _disc_radius(size: int, max_size: int, options: RenderOptions) -> float:
+def _disc_radius(size: int, max_size: int) -> float:
     # area proportional to point count: radius grows with sqrt(n_b)
-    r = options.max_radius * math.sqrt(size / max_size)
-    return min(options.max_radius, max(options.min_radius, r))
+    r = MAX_RADIUS * math.sqrt(size / max_size)
+    return min(MAX_RADIUS, max(MIN_RADIUS, r))
 
 
 def render_graph_svg(
     graph: MapperGraph,
-    positions: LayoutPositions,
+    positions: dict[int, tuple[float, float]],
     scale: ColorScale | None = None,
     options: RenderOptions = RenderOptions(),
 ) -> str:
-    """Serialize the graph as an SVG document string."""
-    missing = [n.ball for n in graph.nodes if n.ball not in positions.positions]
+    """Serialize the graph as an SVG document string; a scale adds a legend."""
+    missing = [n.ball for n in graph.nodes if n.ball not in positions]
     if missing:
         raise ValueError(f"no layout position for balls {missing}")
 
-    legend_w = 170 if (options.legend and scale is not None) else 0
-    margin = options.max_radius + 12
-    plot_w = options.width - legend_w - 2 * margin
-    plot_h = options.height - 2 * margin
+    legend_w = 0 if scale is None else 170
+    margin = MAX_RADIUS + 12
+    plot_w = WIDTH - legend_w - 2 * margin
+    plot_h = HEIGHT - 2 * margin
 
     def to_px(xy):
         x, y = xy
         return margin + x * plot_w, margin + (1.0 - y) * plot_h
 
     max_size = max(n.size for n in graph.nodes)
-    parts = [SVG_OPEN.format(w=options.width, h=options.height)]
-    parts.append(
-        f'<rect x="0" y="0" width="{options.width}" height="{options.height}" '
-        f'fill="{options.background}"/>'
-    )
-
+    parts = [SVG_OPEN, BACKGROUND_RECT]
     for e in graph.edges:
         x1, y1 = to_px(positions[e.source])
         x2, y2 = to_px(positions[e.target])
         parts.append(
             f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
-            f'stroke="{options.edge_color}" stroke-width="{_num(options.edge_width)}"/>'
+            f'stroke="{EDGE_COLOR}" stroke-width="{_num(EDGE_WIDTH)}"/>'
         )
 
     radii = {}
     for n in graph.nodes:
         cx, cy = to_px(positions[n.ball])
-        r = _disc_radius(n.size, max_size, options)
+        r = _disc_radius(n.size, max_size)
         radii[n.ball] = (cx, cy, r)
         if scale is not None and n.color_bin is not None:
             fill = scale.color_for_bin(n.color_bin)
@@ -93,7 +85,7 @@ def render_graph_svg(
             fill = FALLBACK_FILL
         parts.append(
             f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="{_num(r)}" fill="{fill}" '
-            f'stroke="{options.node_stroke}" stroke-width="1"/>'
+            f'stroke="{NODE_STROKE}" stroke-width="1"/>'
         )
 
     if options.show_labels:
@@ -107,14 +99,14 @@ def render_graph_svg(
             )
 
     if legend_w:
-        parts.extend(_legend(scale, options))
+        parts.extend(_legend(scale))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _legend(scale: ColorScale, options: RenderOptions) -> list[str]:
-    x = options.width - 158
+def _legend(scale: ColorScale) -> list[str]:
+    x = WIDTH - 158
     parts = [
         f'<text x="{x}" y="20" font-size="12" font-family="sans-serif">mean</text>'
     ]
@@ -126,7 +118,7 @@ def _legend(scale: ColorScale, options: RenderOptions) -> list[str]:
         label = escape(f"[{lo:.4g}, {hi:.4g}{close}")
         parts.append(
             f'<rect x="{x}" y="{y}" width="14" height="14" '
-            f'fill="{scale.color_for_bin(b)}" stroke="{options.node_stroke}"/>'
+            f'fill="{scale.color_for_bin(b)}" stroke="{NODE_STROKE}"/>'
         )
         parts.append(
             f'<text x="{x + 20}" y="{y + 11}" font-size="11" '
@@ -135,11 +127,7 @@ def _legend(scale: ColorScale, options: RenderOptions) -> list[str]:
     return parts
 
 
-def render_boxplot_svg(
-    stats,
-    options: RenderOptions = RenderOptions(),
-    title: str = "",
-) -> str:
+def render_boxplot_svg(stats, title: str = "") -> str:
     """Box-and-whisker glyph per ball, ordered by ball id on the x axis.
 
     stats rows must carry ball, min, q25, q50, q75, max attributes (the
@@ -154,8 +142,8 @@ def render_boxplot_svg(
                 raise ValueError(f"ball {r.ball} is missing quantile {attr!r}")
 
     left, right, top, bottom = 64, 16, 28, 36
-    plot_w = options.width - left - right
-    plot_h = options.height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
     lo = min(r.min for r in rows)
     hi = max(r.max for r in rows)
     if hi <= lo:
@@ -164,11 +152,7 @@ def render_boxplot_svg(
     def to_y(v):
         return top + (hi - v) / (hi - lo) * plot_h
 
-    parts = [SVG_OPEN.format(w=options.width, h=options.height)]
-    parts.append(
-        f'<rect x="0" y="0" width="{options.width}" height="{options.height}" '
-        f'fill="{options.background}"/>'
-    )
+    parts = [SVG_OPEN, BACKGROUND_RECT]
     if title:
         parts.append(
             f'<text x="{left}" y="18" font-size="13" font-family="sans-serif">'
@@ -221,7 +205,7 @@ def render_boxplot_svg(
             f'stroke="#1a1a1a" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_num(cx)}" y="{options.height - 14}" font-size="10" '
+            f'<text x="{_num(cx)}" y="{HEIGHT - 14}" font-size="10" '
             f'font-family="sans-serif" text-anchor="middle">{r.ball}</text>'
         )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .point_cloud import RawTable, write_csv
+from .point_cloud import RawTable, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
 
@@ -102,13 +102,13 @@ class BallDistributionTable:
         )
 
 
-def ball_groups_from_merged(raw: RawTable, ball_column: str = "ball") -> dict[int, list[int]]:
+def ball_groups_from_merged(raw: RawTable) -> dict[int, list[int]]:
     """Recover ball membership (row indices per ball id) from a merged CSV."""
-    if ball_column not in raw.column_names:
-        raise ValidationError(f"merged table has no {ball_column!r} column")
+    if "ball" not in raw.column_names:
+        raise ValidationError("merged table has no 'ball' column")
     if not raw.rows:
         raise ValidationError("merged table has no rows")
-    j = raw.column_index(ball_column)
+    j = raw.column_index("ball")
     groups: dict[int, list[int]] = {}
     for i, row in enumerate(raw.rows):
         try:
@@ -122,6 +122,10 @@ def ball_groups_from_merged(raw: RawTable, ball_column: str = "ball") -> dict[in
 def means_over_groups(
     raw: RawTable, groups: Mapping[int, Sequence[int]], variables: Sequence[str]
 ) -> BallMeansTable:
+    variables = distinct_names(variables, "variable")
+    for v in variables:
+        if v in ("ball", "size"):
+            raise ValidationError(f"variable {v!r} would clash with the table's {v!r} column")
     cols = [raw.numeric_column(v) for v in variables]
     rows = []
     for ball in sorted(groups):
@@ -133,7 +137,7 @@ def means_over_groups(
                 size=len(idx),
             )
         )
-    return BallMeansTable(tuple(variables), tuple(rows))
+    return BallMeansTable(variables, tuple(rows))
 
 
 def distribution_over_groups(

@@ -26,7 +26,7 @@ def auto_csv(tmp_path):
 
 AUTO_RUN = [
     "run", "--axes", "mpg,trunk,weight,length,turn,displacement,gear_ratio",
-    "-e", "1.5", "--standardize", "--color", "foreign", "--id-col", "make",
+    "-e", "1.5", "--standardize", "--color", "foreign",
 ]
 
 
@@ -268,6 +268,14 @@ BAD_INPUT = {
     "iterations_zero": RUN_AUTO + ["--iterations", "0"] + RUN_OUT,
     "repulsion_zero": RUN_AUTO + ["--repulsion", "0"] + RUN_OUT,
     "attraction_negative": RUN_AUTO + ["--attraction", "-1"] + RUN_OUT,
+    "repulsion_inf": RUN_AUTO + ["--repulsion", "inf"] + RUN_OUT,
+    "attraction_inf": RUN_AUTO + ["--attraction", "inf"] + RUN_OUT,
+    "color_range_overflows": ["run", "-i", "{wide}", "--axes", "x", "-e", "1",
+                              "--color", "c"] + RUN_OUT,
+    "color_mean_overflows": ["run", "-i", "{huge}", "--axes", "x", "-e", "1",
+                             "--color", "c"] + RUN_OUT,
+    "color_range_underflows": ["run", "-i", "{tiny}", "--axes", "x", "-e", "1",
+                               "--color", "c"] + RUN_OUT,
     "ball_column": ["run", "-i", "{balled}", "--axes", "x", "-e", "1"] + RUN_OUT,
     "svg_is_results": RUN_AUTO + ["--svg", "{out}/g.svg", "--results", "{out}/g.svg",
                                   "--merged", "{out}/m.csv"],
@@ -293,6 +301,22 @@ BAD_INPUT = {
                                  "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"],
     "ball_summary_no_rows": ["ball-summary", "--merged", "{empty}", "--variables", "x",
                              "-o", "{out}/s.csv"],
+    "ball_summary_repeated_variable": ["ball-summary", "--merged", "{balled}",
+                                       "--variables", "x,x", "-o", "{out}/s.csv"],
+    "ball_summary_variable_size": ["ball-summary", "--merged", "{balled}",
+                                   "--variables", "size", "-o", "{out}/s.csv"],
+    "ball_summary_variable_ball": ["ball-summary", "--merged", "{balled}",
+                                   "--variables", "ball", "-o", "{out}/s.csv"],
+    "ball_summary_no_variables": ["ball-summary", "--merged", "{balled}",
+                                  "--variables", "", "-o", "{out}/s.csv"],
+}
+
+BAD_INPUT_FILES = {
+    "empty": "ball,x\n",
+    "balled": "ball,x,size\n1,0,1\n2,1,1\n",
+    "wide": "x,c\n0,-1e308\n5,1e308\n",  # two finite ball means, their range overflows
+    "huge": "x,c\n0,1.7e308\n0.5,1.7e308\n",  # one ball whose mean overflows
+    "tiny": "x,c\n0,0\n5,5e-324\n",  # a range too narrow for one bin width
 }
 
 
@@ -300,15 +324,13 @@ BAD_INPUT = {
 def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    empty = tmp_path / "empty.csv"
-    empty.write_text("ball,x\n")
-    balled = tmp_path / "balled.csv"
-    balled.write_text("ball,x\n1,0\n2,1\n")
-    link = tmp_path / "link.csv"
-    link.symlink_to(auto_csv)
-    inputs = {p: p.read_bytes() for p in (auto_csv, empty, balled)}
-    code = run_cli([a.format(auto=auto_csv, out=out, empty=empty, balled=balled, link=link)
-                    for a in argv])
+    paths = {"auto": auto_csv, "out": out, "link": tmp_path / "link.csv"}
+    paths["link"].symlink_to(auto_csv)
+    for name, text in BAD_INPUT_FILES.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
+    inputs = {p: p.read_bytes() for p in paths.values() if p.is_file()}
+    code = run_cli([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -29,7 +29,7 @@ def readme_commands(d):
         ["run", "-i", bm.auto_csv_path(),
          "--axes", "mpg,trunk,weight,length,turn,displacement,gear_ratio",
          "--epsilon", "1.5", "--standardize", "--color", "foreign", "--labels",
-         "--id-col", "make", "--svg", d / "auto.svg",
+         "--svg", d / "auto.svg",
          "--results", d / "auto_results.csv", "--merged", d / "auto_merged.csv"],
         ["ball-summary", "--merged", d / "auto_merged.csv",
          "--variables", "mpg,weight,price,foreign", "-o", d / "auto_means.csv"],

@@ -17,8 +17,7 @@ def make_graph(n_nodes, edges=()):
 class TestComputeLayout:
     def test_single_node_at_origin(self):
         layout = bm.compute_layout(make_graph(1))
-        assert layout.positions == {1: (0.0, 0.0)}
-        assert layout.bounds == (0.0, 0.0, 0.0, 0.0)
+        assert layout == {1: (0.0, 0.0)}
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -35,13 +34,14 @@ class TestComputeLayout:
         g = bm.build_graph(auto_cover)
         a = bm.compute_layout(g)
         b = bm.compute_layout(g)
-        assert a.positions == b.positions
+        assert a == b
 
     def test_unit_bounding_box(self, auto_cover):
         g = bm.build_graph(auto_cover)
         layout = bm.compute_layout(g, iterations=120)
-        assert layout.bounds == (0.0, 0.0, 1.0, 1.0)
-        for x, y in layout.positions.values():
+        xs, ys = zip(*layout.values())
+        assert (min(xs), min(ys), max(xs), max(ys)) == (0.0, 0.0, 1.0, 1.0)
+        for x, y in layout.values():
             assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
             assert np.isfinite(x) and np.isfinite(y)
 
@@ -53,7 +53,7 @@ class TestComputeLayout:
 
     def test_two_node_symmetry(self):
         layout = bm.compute_layout(make_graph(2), iterations=40)
-        (x1, y1), (x2, y2) = layout.positions[1], layout.positions[2]
+        (x1, y1), (x2, y2) = layout[1], layout[2]
         # mirror images about the center of the unit square
         assert x1 + x2 == pytest.approx(1.0, abs=1e-9)
         assert y1 + y2 == pytest.approx(1.0, abs=1e-9)
@@ -61,7 +61,7 @@ class TestComputeLayout:
     def test_positions_cover_all_nodes(self, auto_cover):
         g = bm.build_graph(auto_cover)
         layout = bm.compute_layout(g, iterations=30)
-        assert set(layout.positions) == {n.ball for n in g.nodes}
+        assert set(layout) == {n.ball for n in g.nodes}
 
 
 class TestForceDynamics:

@@ -48,8 +48,7 @@ class TestRenderGraphSvg:
 
     def test_labels_rendered_when_asked(self, auto_cover):
         g, layout, _ = graph_with_layout(auto_cover)
-        options = bm.RenderOptions(show_labels=True, legend=False)
-        svg = bm.render_graph_svg(g, layout, options=options)
+        svg = bm.render_graph_svg(g, layout, options=bm.RenderOptions(show_labels=True))
         texts = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
         assert texts == [str(b) for b in auto_cover.ball_ids]
 
@@ -89,8 +88,7 @@ class TestRenderGraphSvg:
 
     def test_disc_area_tracks_ball_size(self, auto_cover):
         g, layout, _ = graph_with_layout(auto_cover)
-        options = bm.RenderOptions(min_radius=0.01, legend=False)  # avoid clamping
-        svg = bm.render_graph_svg(g, layout, options=options)
+        svg = bm.render_graph_svg(g, layout)  # the smallest disc (7.8 px) is not clamped
         circles = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("circle")]
         sizes = [n.size for n in g.nodes]
         radii = [float(c.get("r")) for c in circles]
@@ -107,17 +105,10 @@ class TestRenderGraphSvg:
         rects = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("rect")]
         assert len(rects) == 1 + 6  # background + one swatch per bin
 
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            bm.RenderOptions(min_radius=0.0)
-        with pytest.raises(ValueError):
-            bm.RenderOptions(min_radius=9.0, max_radius=3.0)
-
     def test_positions_must_cover_nodes(self, line_cover):
         g = bm.build_graph(line_cover)
-        partial = bm.LayoutPositions({1: (0.0, 0.0)}, (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="position"):
-            bm.render_graph_svg(g, partial)
+            bm.render_graph_svg(g, {1: (0.0, 0.0)})
 
 
 def dist_row(ball, lo, q25, q50, q75, hi, size=3):
