@@ -1,7 +1,7 @@
 """Ball mapper: cover a multivariate point cloud with fixed-radius balls and
 study the data through the resulting overlap graph."""
 
-from .cover import BallCover, ball_sizes, build_cover, membership_matrix
+from .cover import BallCover, ball_sizes, build_cover
 from .datagen import XDatasetSpec, gen_gaussian_cloud, gen_x_dataset
 from .datasets import auto_csv_path
 from .errors import ValidationError
@@ -65,7 +65,6 @@ __all__ = [
     "gen_gaussian_cloud",
     "gen_x_dataset",
     "load_csv",
-    "membership_matrix",
     "quantile",
     "render_boxplot_svg",
     "render_graph_svg",

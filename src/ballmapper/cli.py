@@ -183,8 +183,18 @@ def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValidationError, so it exits 1.
+
+    add_subparsers makes each subcommand's parser of this class too.
+    """
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ballmapper",
         description="Cover a point cloud with fixed-radius balls and draw the overlap graph.",
     )
@@ -235,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

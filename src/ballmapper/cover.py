@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEpsilonError, ValidationError
+from .errors import ValidationError
 from .point_cloud import PointCloud
 
 
@@ -55,7 +55,7 @@ def build_cover(
     comparisons are inclusive (<= epsilon).
     """
     if not epsilon > 0:
-        raise NonPositiveEpsilonError()
+        raise ValidationError("epsilon must be positive")
     if order not in ("data", "shuffle"):
         raise ValueError(f"unknown landmark order policy {order!r}")
 
@@ -84,15 +84,6 @@ def build_cover(
         members.append(tuple(row_ids[in_ball].tolist()))
 
     return BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
-
-
-def membership_matrix(cover: BallCover) -> dict[int, list[int]]:
-    """Invert the cover: row id -> sorted list of ball ids containing it."""
-    containing: dict[int, list[int]] = {r: [] for r in cover.row_ids}
-    for ball, member_rows in enumerate(cover.members, start=1):
-        for r in member_rows:
-            containing[r].append(ball)
-    return containing
 
 
 def ball_sizes(cover: BallCover) -> list[int]:

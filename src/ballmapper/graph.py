@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cover import BallCover, membership_matrix
-from .errors import ColorLengthMismatchError, ValidationError
+from .cover import BallCover
+from .errors import ValidationError
 
 DEFAULT_BIN_COUNT = 8
 # Documented palette endpoints: low bins blue, high bins red.
@@ -81,6 +81,15 @@ def default_palette(bin_count: int) -> tuple[str, ...]:
     return tuple(colors)
 
 
+def _membership_matrix(cover: BallCover) -> dict[int, list[int]]:
+    """Invert the cover: row id -> sorted list of ball ids containing it."""
+    containing: dict[int, list[int]] = {r: [] for r in cover.row_ids}
+    for ball, member_rows in enumerate(cover.members, start=1):
+        for r in member_rows:
+            containing[r].append(ball)
+    return containing
+
+
 def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -> MapperGraph:
     """One node per ball plus an edge wherever two member sets intersect.
 
@@ -92,7 +101,9 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
     if color_values is not None:
         vals = np.asarray(color_values, dtype=float)
         if vals.shape != (cover.n_points,):
-            raise ColorLengthMismatchError(cover.n_points, int(np.prod(vals.shape)))
+            raise ValidationError(
+                f"color column has {int(np.prod(vals.shape))} values, expected {cover.n_points}"
+            )
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
         by_row = dict(zip(cover.row_ids, vals))
@@ -110,7 +121,7 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
 
     # Each point adds one to the shared count of every pair of balls holding it.
     shared: Counter[tuple[int, int]] = Counter()
-    for balls in membership_matrix(cover).values():
+    for balls in _membership_matrix(cover).values():
         shared.update(combinations(balls, 2))
     edges = tuple(GraphEdge(q, s, n) for (q, s), n in sorted(shared.items()))
     return MapperGraph(nodes, edges)

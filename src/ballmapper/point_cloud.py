@@ -13,15 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    EmptyAfterDropError,
-    MissingValueError,
-    NonNumericError,
-    UnknownVariableError,
-    ValidationError,
-    ZeroVarianceError,
-)
+from .errors import ValidationError
 
 
 def format_value(x) -> str:
@@ -40,14 +32,21 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
     """One numeric cell; NaN/inf literals count as non-numeric too."""
     text = cell.strip()
     if text == "":
-        raise MissingValueError(row, column)
+        raise ValidationError(f"missing value in column {column!r} at row {row}")
     try:
         v = float(text)
     except ValueError:
         v = math.nan
     if not math.isfinite(v):
-        raise NonNumericError(row, column, cell)
+        raise ValidationError(f"non-numeric cell {cell!r} in column {column!r} at row {row}")
     return v
+
+
+def _column_position(names: tuple[str, ...], name: str) -> int:
+    """Where name sits among the column names; refuses a name not among them."""
+    if name not in names:
+        raise ValidationError(f"unknown column {name!r}")
+    return names.index(name)
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,7 @@ class RawTable:
     rows: tuple[tuple[str, ...], ...]
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise UnknownVariableError(name) from None
+        return _column_position(self.column_names, name)
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Parse one column as float64, rejecting missing or non-numeric cells."""
@@ -107,9 +103,7 @@ class PointCloud:
         return self.values.shape[1]
 
     def column(self, name: str) -> np.ndarray:
-        if name not in self.column_names:
-            raise UnknownVariableError(name)
-        return self.values[:, self.column_names.index(name)]
+        return self.values[:, _column_position(self.column_names, name)]
 
 
 @dataclass(frozen=True)
@@ -131,26 +125,31 @@ def load_csv(path) -> RawTable:
     Text columns are preserved verbatim so identifier columns survive the
     round trip; numeric interpretation happens later in validate_axes.
     """
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, expected a header row") from None
-        if any(not h for h in header):
-            raise CsvFormatError(f"{path}: blank header name")
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise CsvFormatError(f"{path}: duplicate header names {dupes}")
-        rows = []
-        for row in reader:
-            if not row:  # blank line
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {len(rows)} has {len(row)} cells, header has {len(header)}"
-                )
-            rows.append(tuple(row))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            reader = csv.reader(f)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file, expected a header row") from None
+            if any(not h for h in header):
+                raise ValidationError(f"{path}: blank header name")
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise ValidationError(f"{path}: duplicate header names {dupes}")
+            rows = []
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}: row {len(rows)} has {len(row)} cells, header has {len(header)}"
+                    )
+                rows.append(tuple(row))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     return RawTable(tuple(header), tuple(rows))
 
 
@@ -185,14 +184,17 @@ def validate_axes(
     for i, row in enumerate(raw.rows):
         try:  # cells parse left to right, so the first bad one in row-major order raises
             values.append([_parse_cell(row[j], i, a) for j, a in zip(cols, axes)])
-        except (MissingValueError, NonNumericError):
+        except ValidationError:
             if not drop_missing:
                 raise
             dropped.append(i)
         else:
             keep.append(i)
     if not keep:
-        raise EmptyAfterDropError()
+        raise ValidationError(
+            "no rows remain after dropping rows with missing values" if dropped
+            else "the table has no data rows"
+        )
 
     cloud = PointCloud(axes, np.array(values), tuple(keep))
     return cloud, tuple(dropped)
@@ -207,16 +209,15 @@ def standardize(
     means = []
     sds = []
     for name in names:
-        if name not in cloud.column_names:
-            raise UnknownVariableError(name)
-        j = cloud.column_names.index(name)
+        j = _column_position(cloud.column_names, name)
         col = out[:, j]
-        mean = float(col.mean())
-        if cloud.n < 2:
-            raise ZeroVarianceError(name)
-        sd = float(col.std(ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            mean = float(col.mean())
+            sd = float(col.std(ddof=1)) if cloud.n > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ValidationError(f"the mean or sd of column {name!r} overflows float64")
         if sd <= 0.0:
-            raise ZeroVarianceError(name)
+            raise ValidationError(f"column {name!r} has zero variance")
         out[:, j] = (col - mean) / sd
         means.append(mean)
         sds.append(sd)

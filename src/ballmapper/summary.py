@@ -37,7 +37,10 @@ def quantile(values: Sequence[float], p: float) -> float:
     if abs(h - rounded) < _INTEGRAL_TOL and rounded >= 1:
         if rounded >= n:
             return float(values[-1])
-        return (float(values[rounded - 1]) + float(values[rounded])) / 2.0
+        a, b = float(values[rounded - 1]), float(values[rounded])
+        mid = (a + b) / 2.0
+        # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0
+        return a / 2.0 + b / 2.0 if math.isinf(mid) else mid
     return float(values[math.ceil(h) - 1])
 
 
@@ -102,6 +105,13 @@ class BallDistributionTable:
         )
 
 
+def _finite(value: float, stat: str, variable: str, ball: int) -> float:
+    """The value, unless a float64 overflow made it inf or nan."""
+    if not math.isfinite(value):
+        raise ValidationError(f"the {stat} of {variable!r} in ball {ball} overflows float64")
+    return value
+
+
 def ball_groups_from_merged(raw: RawTable) -> dict[int, list[int]]:
     """Recover ball membership (row indices per ball id) from a merged CSV."""
     if "ball" not in raw.column_names:
@@ -128,15 +138,13 @@ def means_over_groups(
             raise ValidationError(f"variable {v!r} would clash with the table's {v!r} column")
     cols = [raw.numeric_column(v) for v in variables]
     rows = []
-    for ball in sorted(groups):
-        idx = list(groups[ball])
-        rows.append(
-            BallMeansRow(
-                ball=ball,
-                means=tuple(float(c[idx].mean()) for c in cols),
-                size=len(idx),
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        for ball in sorted(groups):
+            idx = list(groups[ball])
+            means = tuple(
+                _finite(float(c[idx].mean()), "mean", v, ball) for c, v in zip(cols, variables)
             )
-        )
+            rows.append(BallMeansRow(ball=ball, means=means, size=len(idx)))
     return BallMeansTable(variables, tuple(rows))
 
 
@@ -145,25 +153,27 @@ def distribution_over_groups(
 ) -> BallDistributionTable:
     col = raw.numeric_column(variable)
     rows = []
-    for ball in sorted(groups):
-        # mean/sd are taken in member order so they match means_over_groups
-        # bit for bit; sorting is only for the order statistics
-        member_vals = col[list(groups[ball])]
-        vals = np.sort(member_vals)
-        n = len(vals)
-        rows.append(
-            BallDistributionRow(
-                ball=ball,
-                mean=float(member_vals.mean()),
-                sd=float(member_vals.std(ddof=1)) if n > 1 else None,
-                min=float(vals[0]),
-                q25=quantile(vals, 25),
-                q50=quantile(vals, 50),
-                q75=quantile(vals, 75),
-                max=float(vals[-1]),
-                size=n,
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
+        for ball in sorted(groups):
+            # mean/sd are taken in member order so they match means_over_groups
+            # bit for bit; sorting is only for the order statistics
+            member_vals = col[list(groups[ball])]
+            vals = np.sort(member_vals)
+            n = len(vals)
+            rows.append(
+                BallDistributionRow(
+                    ball=ball,
+                    mean=_finite(float(member_vals.mean()), "mean", variable, ball),
+                    sd=_finite(float(member_vals.std(ddof=1)), "sd", variable, ball)
+                    if n > 1 else None,
+                    min=float(vals[0]),
+                    q25=quantile(vals, 25),
+                    q50=quantile(vals, 50),
+                    q75=quantile(vals, 75),
+                    max=float(vals[-1]),
+                    size=n,
+                )
             )
-        )
     return BallDistributionTable(variable, tuple(rows))
 
 

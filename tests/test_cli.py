@@ -309,14 +309,32 @@ BAD_INPUT = {
                                    "--variables", "ball", "-o", "{out}/s.csv"],
     "ball_summary_no_variables": ["ball-summary", "--merged", "{balled}",
                                   "--variables", "", "-o", "{out}/s.csv"],
+    "ball_summary_mean_overflows": ["ball-summary", "--merged", "{overflow}",
+                                    "--variables", "c", "-o", "{out}/s.csv"],
+    "variable_summary_mean_overflows": ["variable-summary", "--merged", "{overflow}",
+                                        "--variable", "c", "-o", "{out}/s.csv",
+                                        "--boxplot", "{out}/b.svg"],
+    "input_not_utf8": ["run", "-i", "{latin1}", "--axes", "x", "-e", "1"] + RUN_OUT,
+    "input_field_oversize": ["run", "-i", "{oversize}", "--axes", "x", "-e", "1"] + RUN_OUT,
+    "standardize_sd_overflows": ["run", "-i", "{spread}", "--axes", "x", "-e", "1",
+                                 "--standardize"] + RUN_OUT,
+    "input_header_only": ["run", "-i", "{header_only}", "--axes", "x", "-e", "1"] + RUN_OUT,
+    "epsilon_not_a_number": ["run", "-i", "{auto}", "--axes", "mpg", "-e", "abc"] + RUN_OUT,
+    "unknown_flag": RUN_AUTO + ["--bogus"] + RUN_OUT,
+    "missing_required_flag": ["run", "--axes", "mpg", "-e", "1"] + RUN_OUT,
 }
 
 BAD_INPUT_FILES = {
-    "empty": "ball,x\n",
-    "balled": "ball,x,size\n1,0,1\n2,1,1\n",
-    "wide": "x,c\n0,-1e308\n5,1e308\n",  # two finite ball means, their range overflows
-    "huge": "x,c\n0,1.7e308\n0.5,1.7e308\n",  # one ball whose mean overflows
-    "tiny": "x,c\n0,0\n5,5e-324\n",  # a range too narrow for one bin width
+    "empty": b"ball,x\n",
+    "balled": b"ball,x,size\n1,0,1\n2,1,1\n",
+    "wide": b"x,c\n0,-1e308\n5,1e308\n",  # two finite ball means, their range overflows
+    "huge": b"x,c\n0,1.7e308\n0.5,1.7e308\n",  # one ball whose mean overflows
+    "tiny": b"x,c\n0,0\n5,5e-324\n",  # a range too narrow for one bin width
+    "overflow": b"ball,c\n1,1.7e308\n1,1.7e308\n",  # a merged ball whose mean overflows
+    "latin1": b"x\n\xff\n",
+    "oversize": b"x\n" + b"1" * 131073 + b"\n",  # one field over csv.field_size_limit()
+    "header_only": b"x,y\n",
+    "spread": b"x\n1e300\n-1e300\n0\n",  # a finite mean whose sd overflows
 }
 
 
@@ -328,7 +346,7 @@ def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, cap
     paths["link"].symlink_to(auto_csv)
     for name, text in BAD_INPUT_FILES.items():
         paths[name] = tmp_path / f"{name}.csv"
-        paths[name].write_text(text)
+        paths[name].write_bytes(text)
     inputs = {p: p.read_bytes() for p in paths.values() if p.is_file()}
     code = run_cli([a.format(**paths) for a in argv])
     err = capsys.readouterr().err

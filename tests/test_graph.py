@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import ballmapper as bm
-from ballmapper.errors import ColorLengthMismatchError
+from ballmapper.errors import ValidationError
 from ballmapper.graph import default_palette
 
 from conftest import cover_inputs, random_cloud
@@ -35,7 +35,7 @@ class TestBuildGraph:
         assert g.nodes[0].color_mean is None
 
     def test_color_length_mismatch(self, line_cover):
-        with pytest.raises(ColorLengthMismatchError):
+        with pytest.raises(ValidationError, match="color column has 2 values, expected 3"):
             bm.build_graph(line_cover, [1.0, 2.0])
 
     def test_binary_color_means_bounded(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper.errors import (
-    CsvFormatError,
-    EmptyAfterDropError,
-    MissingValueError,
-    NonNumericError,
-    UnknownVariableError,
-    ValidationError,
-    ZeroVarianceError,
-)
+from ballmapper.errors import ValidationError
 from ballmapper.point_cloud import format_value
 
 
@@ -38,16 +31,26 @@ class TestLoadCsv:
         assert raw.rows[1] == ("3", "4")
 
     def test_duplicate_header_rejected(self, tmp_path):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValidationError, match="duplicate header names \\['x'\\]"):
             bm.load_csv(write(tmp_path, "x,x\n1,2\n"))
 
     def test_duplicate_header_after_stripping_rejected(self, tmp_path):
-        with pytest.raises(CsvFormatError, match="duplicate header names \\['a'\\]"):
+        with pytest.raises(ValidationError, match="duplicate header names \\['a'\\]"):
             bm.load_csv(write(tmp_path, "a, a\n1,2\n"))
 
     def test_ragged_row_rejected(self, tmp_path):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValidationError, match="row 0 has 1 cells, header has 2"):
             bm.load_csv(write(tmp_path, "a,b\n1\n"))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"x\n\xff\n", "not UTF-8 text"),
+        (b"x\n" + b"1" * 131073 + b"\n", "line 2: field larger than field limit (131072)"),
+    ], ids=["not_utf8", "oversize_field"])
+    def test_unreadable_text_names_the_file(self, tmp_path, data, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: {message}")):
+            bm.load_csv(p)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -65,9 +68,9 @@ class TestValidateAxes:
         assert dropped == ()
 
     def test_missing_cell_is_error_by_default(self, auto_raw):
-        with pytest.raises(MissingValueError) as exc:
+        with pytest.raises(ValidationError) as exc:
             bm.validate_axes(auto_raw, ("rep78",))
-        assert exc.value.row == 2  # AMC Spirit
+        assert str(exc.value) == "missing value in column 'rep78' at row 2"  # AMC Spirit
 
     def test_drop_missing_reports_rows(self, auto_raw):
         cloud, dropped = bm.validate_axes(auto_raw, ("rep78",), drop_missing=True)
@@ -77,9 +80,9 @@ class TestValidateAxes:
 
     def test_non_numeric_cell(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x\n1\nfoo\n"))
-        with pytest.raises(NonNumericError) as exc:
+        with pytest.raises(ValidationError) as exc:
             bm.validate_axes(raw, ("x",))
-        assert (exc.value.row, exc.value.column) == (1, "x")
+        assert str(exc.value) == "non-numeric cell 'foo' in column 'x' at row 1"
 
     def test_scientific_notation_accepted(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x\n1e-3\n2E+4\n"))
@@ -88,11 +91,11 @@ class TestValidateAxes:
 
     def test_nan_literal_rejected(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x\nnan\n"))
-        with pytest.raises(NonNumericError):
+        with pytest.raises(ValidationError, match="non-numeric cell 'nan' in column 'x' at row 0"):
             bm.validate_axes(raw, ("x",))
 
     def test_unknown_axis_named(self, auto_raw):
-        with pytest.raises(UnknownVariableError, match="bogus"):
+        with pytest.raises(ValidationError, match="unknown column 'bogus'"):
             bm.validate_axes(auto_raw, ("bogus",))
 
     def test_row_ids_keep_file_order(self, tmp_path):
@@ -103,8 +106,14 @@ class TestValidateAxes:
 
     def test_empty_after_drop(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x,y\n,1\n,2\n"))
-        with pytest.raises(EmptyAfterDropError):
+        with pytest.raises(ValidationError, match="no rows remain after dropping rows with"):
             bm.validate_axes(raw, ("x",), drop_missing=True)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        raw = bm.load_csv(write(tmp_path, "x,y\n"))
+        for drop_missing in (False, True):
+            with pytest.raises(ValidationError, match="^the table has no data rows$"):
+                bm.validate_axes(raw, ("x",), drop_missing=drop_missing)
 
     def test_repeated_axis_named(self, auto_raw):
         with pytest.raises(ValidationError, match="'mpg'"):
@@ -112,13 +121,12 @@ class TestValidateAxes:
 
     def test_first_bad_cell_in_row_major_order(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x,y\n1,2\n foo ,\n,bar\n"))
-        with pytest.raises(NonNumericError) as exc:
+        with pytest.raises(ValidationError) as exc:
             bm.validate_axes(raw, ("x", "y"))
-        assert (exc.value.row, exc.value.column, exc.value.cell) == (1, "x", " foo ")
         assert str(exc.value) == "non-numeric cell ' foo ' in column 'x' at row 1"
-        with pytest.raises(MissingValueError) as exc:
+        with pytest.raises(ValidationError) as exc:
             bm.validate_axes(raw, ("y", "x"))
-        assert (exc.value.row, exc.value.column) == (1, "y")
+        assert str(exc.value) == "missing value in column 'y' at row 1"
 
     def test_drop_missing_drops_whole_row(self, tmp_path):
         raw = bm.load_csv(write(tmp_path, "x,y\n1,2\n3,inf\n4,5\n"))
@@ -156,7 +164,14 @@ class TestStandardize:
 
     def test_constant_column_rejected(self):
         cloud = bm.PointCloud(("x",), np.array([[5.0], [5.0], [5.0]]), (0, 1, 2))
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ValidationError, match="column 'x' has zero variance"):
+            bm.standardize(cloud)
+
+    @pytest.mark.parametrize("column", [(1.7e308, 1.7e308), (1e300, -1e300, 0.0)],
+                             ids=["mean", "sd"])
+    def test_overflowing_moments_rejected(self, column):
+        cloud = bm.PointCloud(("x",), np.array(column)[:, None], tuple(range(len(column))))
+        with pytest.raises(ValidationError, match="the mean or sd of column 'x' overflows float64"):
             bm.standardize(cloud)
 
     def test_auto_weight_moments(self, auto_raw):
@@ -247,7 +262,7 @@ class TestCorrelationMatrix:
 
     def test_zero_variance_rejected(self):
         cloud = bm.PointCloud(("x", "c"), np.array([[1.0, 5.0], [2.0, 5.0]]), (0, 1))
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ValidationError, match="column 'c' has zero variance"):
             bm.correlation_matrix(cloud)
 
 

@@ -1,10 +1,15 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper.errors import UnknownVariableError
+from ballmapper import summary
+from ballmapper.errors import ValidationError
+from ballmapper.graph import _membership_matrix
 
 
 def oracle_quantile(values, p):
@@ -35,6 +40,24 @@ class TestQuantile:
 
     def test_two_value_median_is_average(self):
         assert bm.quantile([3.0, 5.0], 50) == 4.0
+
+    def test_midpoint_that_overflows_halves_first(self):
+        assert bm.quantile([1.7e308, 1.7e308], 50) == 1.7e308
+        assert bm.quantile([5e-324, 5e-324], 50) == 5e-324  # halving first would give 0
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        st.sampled_from([10, 20, 25, 40, 50, 60, 75, 80, 90]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_averages_unchanged_bit_for_bit(self, values, p):
+        s = sorted(values)
+        averaged = oracle_quantile(s, p)  # (a + b) / 2 with no overflow fallback
+        q = bm.quantile(s, p)
+        if math.isinf(averaged):
+            assert s[0] <= q <= s[-1]
+        else:
+            assert struct.pack("<d", q) == struct.pack("<d", averaged)
 
     def test_empty_and_bad_p(self):
         with pytest.raises(ValueError):
@@ -83,7 +106,7 @@ class TestBallSummary:
 
     def test_unknown_variable(self, line_cover):
         raw = bm.RawTable(("x",), (("0",), ("1",), ("2",)))
-        with pytest.raises(UnknownVariableError):
+        with pytest.raises(ValidationError, match="unknown column 'nope'"):
             bm.ball_summary(line_cover, raw, ("nope",))
 
     def test_auto_ball_one_row(self, auto_cover, auto_raw):
@@ -101,6 +124,11 @@ class TestBallSummary:
         assert gear == pytest.approx(3.4375, abs=1e-12)
         assert price == 5725.25
         assert foreign == 0.25
+
+    def test_overflowing_mean_refused(self):
+        raw = bm.RawTable(("c",), (("1.7e308",), ("1.7e308",)))
+        with pytest.raises(ValidationError, match="the mean of 'c' in ball 3 overflows float64"):
+            summary.means_over_groups(raw, {3: [0, 1]}, ("c",))
 
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
         table = bm.ball_summary(auto_cover, auto_raw, ("price",))
@@ -159,6 +187,13 @@ class TestVariableSummary:
         for a, b in zip(means_table.rows, dist_table.rows):
             assert a.means[0] == b.mean
 
+    @pytest.mark.parametrize("cells, stat", [(("1.7e308", "1.7e308"), "mean"),
+                                             (("1e200", "-1e200"), "sd")])
+    def test_overflowing_mean_or_sd_refused(self, cells, stat):
+        raw = bm.RawTable(("c",), tuple((c,) for c in cells))
+        with pytest.raises(ValidationError, match=f"the {stat} of 'c' in ball 3 overflows float64"):
+            summary.distribution_over_groups(raw, {3: [0, 1]}, "c")
+
     def test_csv_sd_field_empty_for_singletons(self, auto_cover, auto_raw, tmp_path):
         out = tmp_path / "price.csv"
         bm.variable_summary(auto_cover, auto_raw, "price", csv_path=out)
@@ -169,7 +204,7 @@ class TestVariableSummary:
         assert ball9[2] == ""
 
     def test_membership_total_matches_size_sum(self, auto_cover):
-        matrix = bm.membership_matrix(auto_cover)
+        matrix = _membership_matrix(auto_cover)
         total = sum(len(balls) for balls in matrix.values())
         assert total == sum(bm.ball_sizes(auto_cover)) == 101
         assert auto_cover.n_points == 74
