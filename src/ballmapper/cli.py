@@ -20,8 +20,8 @@ from . import datagen, layout, render, summary
 from .cover import build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
-from .point_cloud import RawTable, load_csv, standardize, validate_axes, write_csv
-from .point_cloud import write_point_cloud_csv
+from .point_cloud import RawTable, format_value, load_csv, standardize, validate_axes
+from .point_cloud import write_cells, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -30,32 +30,33 @@ RESULTS_HEADER = (
 
 
 def _write_results_csv(path, graph, positions):
+    xy = {b: (format_value(x), format_value(y)) for b, (x, y) in positions.items()}
     rows = []
     for n in graph.nodes:
-        x, y = positions[n.ball]
+        x, y = xy[n.ball]
         rows.append((
             "node", n.ball, x, y, n.size,
-            "" if n.color_mean is None else n.color_mean,
+            "" if n.color_mean is None else format_value(n.color_mean),
             "" if n.color_bin is None else n.color_bin,
             "", "", "", "", "",
         ))
     for e in graph.edges:
-        x1, y1 = positions[e.source]
-        x2, y2 = positions[e.target]
+        x1, y1 = xy[e.source]
+        x2, y2 = xy[e.target]
         rows.append((
             "edge", "", x1, y1, "", "", "",
             e.source, e.target, x2, y2, e.shared,
         ))
-    write_csv(path, RESULTS_HEADER, rows)
+    write_cells(path, RESULTS_HEADER, rows)
 
 
 def _write_merged_csv(path, raw: RawTable, cover):
-    header = ("ball",) + raw.column_names
-    rows = []
-    for ball, member_rows in enumerate(cover.members, start=1):
-        for r in member_rows:
-            rows.append((ball,) + raw.rows[r])
-    write_csv(path, header, rows)
+    # The input's cells are already strings, written back as they were read.
+    write_cells(path, ("ball",) + raw.column_names, (
+        (ball,) + raw.rows[r]
+        for ball, member_rows in enumerate(cover.members, start=1)
+        for r in member_rows
+    ))
 
 
 def _write_all_or_none(writers) -> None:

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ValidationError
 from .point_cloud import PointCloud
 
+_UNDERFLOW_GAP = 1e-160  # above sqrt of the smallest subnormal, about 2.2e-162
+
 
 @dataclass(frozen=True)
 class BallCover:
@@ -68,6 +70,21 @@ def build_cover(
         scan_order = np.arange(n)
 
     pts = cloud.values
+    # Sort the points once along their widest axis; each ball then tests only
+    # the contiguous slab of points whose coordinate on that axis lies within
+    # the radius of the landmark's.
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    perm = np.argsort(pts[:, axis], kind="stable")
+    sorted_pts = pts[perm]
+    keys = pts[perm, axis]
+    # The slab is a superset of the points that pass the distance test below.
+    # That test sums nonnegative rounded squares and rounding is monotone, so a
+    # passing point has |fl(p_a - c_a)| <= epsilon up to a few ulps, and
+    # |fl(p_a - c_a)| is within one ulp of the true gap; the relative margin
+    # covers both. A gap below _UNDERFLOW_GAP squares to 0 and passes any
+    # radius, so it always stays in the slab. The stored p_a is a float, so
+    # p_a <= c_a + half_width implies p_a <= fl(c_a + half_width).
+    half_width = epsilon * (1 + 1e-12) + _UNDERFLOW_GAP
     covered = np.zeros(n, dtype=bool)
     landmarks: list[int] = []
     members: list[tuple[int, ...]] = []
@@ -76,9 +93,12 @@ def build_cover(
     for lm in scan_order.tolist():
         if covered[lm]:
             continue
-        diff = pts - pts[lm]
+        c = pts[lm]
+        lo = int(np.searchsorted(keys, c[axis] - half_width, side="left"))
+        hi = int(np.searchsorted(keys, c[axis] + half_width, side="right"))
+        diff = sorted_pts[lo:hi] - c
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        in_ball = np.nonzero(dist <= epsilon)[0]
+        in_ball = np.sort(perm[lo + np.nonzero(dist <= epsilon)[0]])
         covered[in_ball] = True
         landmarks.append(int(row_ids[lm]))
         members.append(tuple(row_ids[in_ball].tolist()))

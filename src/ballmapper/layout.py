@@ -20,6 +20,7 @@ DEFAULT_ITERATIONS = 500
 STEP_START = 0.1
 STEP_END = 0.001
 _MIN_DIST = 1e-12  # coincident nodes exert no repulsion on each other
+_TILE = 64  # columns per repulsion block: scratch is O(B * _TILE), not O(B^2)
 
 
 def _simulate(
@@ -31,17 +32,25 @@ def _simulate(
 ) -> np.ndarray:
     """Run the force loop on raw coordinates (no normalization).
 
-    Each round works on B x B float64 planes allocated once: dx[j, i] and
-    dy[j, i] hold pos[i] - pos[j] per axis, scale[j, i] the repulsion weight
-    of the pair, and tmp their products.
+    The repulsion is computed for _TILE columns i at a time, on B x T float64
+    planes allocated once: dx[j, k] and dy[j, k] hold pos[i] - pos[j] per axis
+    for i = s + k, scale[j, k] the repulsion weight of the pair, and tmp their
+    products.
     """
     pos = np.array(pos, dtype=float)
     n = pos.shape[0]
-    dx = np.empty((n, n))
-    dy = np.empty((n, n))
-    scale = np.empty((n, n))
-    tmp = np.empty((n, n))
-    coincident = np.empty((n, n), dtype=bool)
+    width = min(n, _TILE)
+    dx = np.empty((n, width))
+    dy = np.empty((n, width))
+    scale = np.empty((n, width))
+    tmp = np.empty((n, width))
+    coincident = np.empty((n, width), dtype=bool)
+    cols = np.arange(width)
+    # Every block is a full `width` columns wide: the last one starts at
+    # n - width and recomputes columns an earlier block already wrote, with
+    # the same result. A block one column wide would be reduced by numpy's
+    # pairwise summation instead of row by row, and change the bits.
+    starts = [*range(0, n - width, width), n - width]
     disp = np.empty((n, 2))
     for t in range(iterations):
         if iterations > 1:
@@ -51,24 +60,27 @@ def _simulate(
 
         x = pos[:, 0]
         y = pos[:, 1]
-        np.subtract(x[None, :], x[:, None], out=dx)
-        np.subtract(y[None, :], y[:, None], out=dy)
-        np.multiply(dx, dx, out=scale)
-        np.multiply(dy, dy, out=tmp)
-        np.add(scale, tmp, out=scale)  # squared distance d2
-        np.less_equal(scale, _MIN_DIST ** 2, out=coincident)
-        np.maximum(scale, _MIN_DIST ** 2, out=scale)
-        np.divide(repulsion, scale, out=scale)
-        np.copyto(scale, 0.0, where=coincident)
-        np.fill_diagonal(scale, 0.0)
-        # Node i's push is the sum over j of (pos[i] - pos[j]) * scale, added
-        # one j after another. Reducing over axis 0 adds the rows in exactly
-        # that order, which keeps positions, and so the golden output pins,
-        # bitwise unchanged; a reduction over axis 1 would sum pairwise.
-        np.multiply(dx, scale, out=tmp)
-        np.sum(tmp, axis=0, out=disp[:, 0])
-        np.multiply(dy, scale, out=tmp)
-        np.sum(tmp, axis=0, out=disp[:, 1])
+        for s in starts:
+            e = s + width
+            np.subtract(x[None, s:e], x[:, None], out=dx)
+            np.subtract(y[None, s:e], y[:, None], out=dy)
+            np.multiply(dx, dx, out=scale)
+            np.multiply(dy, dy, out=tmp)
+            np.add(scale, tmp, out=scale)  # squared distance d2
+            np.less_equal(scale, _MIN_DIST ** 2, out=coincident)
+            np.maximum(scale, _MIN_DIST ** 2, out=scale)
+            np.divide(repulsion, scale, out=scale)
+            np.copyto(scale, 0.0, where=coincident)
+            scale[s + cols, cols] = 0.0  # node i does not push itself
+            # Node i's push is the sum over j of (pos[i] - pos[j]) * scale,
+            # added one j after another. Reducing over axis 0 adds the rows in
+            # exactly that order, which keeps positions, and so the golden
+            # output pins, bitwise unchanged; a reduction over axis 1 would
+            # sum pairwise.
+            np.multiply(dx, scale, out=tmp)
+            np.sum(tmp, axis=0, out=disp[s:e, 0])
+            np.multiply(dy, scale, out=tmp)
+            np.sum(tmp, axis=0, out=disp[s:e, 1])
 
         if edge_index.size:
             delta = pos[edge_index[:, 0]] - pos[edge_index[:, 1]]

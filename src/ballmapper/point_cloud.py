@@ -252,11 +252,19 @@ def correlation_matrix(cloud: PointCloud) -> np.ndarray:
 
 def write_csv(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write CSV with LF line endings and round-trip float formatting."""
+    write_cells(path, column_names, ([format_value(c) for c in row] for row in rows))
+
+
+def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write CSV with LF line endings, each cell a string or a Python int.
+
+    Those cells are written as format_value would write them, without a call
+    per cell.
+    """
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(list(column_names))
-        for row in rows:
-            writer.writerow([format_value(c) for c in row])
+        writer.writerows(rows)
 
 
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+from .errors import ValidationError
 from .graph import FALLBACK_FILL, ColorScale, MapperGraph
 
 WIDTH = 900
@@ -148,6 +149,10 @@ def render_boxplot_svg(stats, title: str = "") -> str:
     hi = max(r.max for r in rows)
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
+    if not math.isfinite(hi - lo):
+        raise ValidationError(
+            f"the values from {lo!r} to {hi!r} span more than float64 can hold"
+        )
 
     def to_y(v):
         return top + (hi - v) / (hi - lo) * plot_h
@@ -166,7 +171,7 @@ def render_boxplot_svg(stats, title: str = "") -> str:
         f'stroke="#444444" stroke-width="1"/>'
     )
     for i in range(5):
-        v = lo + (hi - lo) * i / 4
+        v = lo + (hi - lo) * (i / 4)  # (hi - lo) * i could overflow
         y = to_y(v)
         parts.append(
             f'<line x1="{axis_x - 4}" y1="{_num(y)}" x2="{axis_x}" y2="{_num(y)}" '

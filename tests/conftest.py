@@ -45,19 +45,34 @@ def random_cloud(rng, n=None, k=None):
 def cover_inputs(draw):
     """(cloud, epsilon, order, seed) for build_cover, as the oracle tests use them.
 
-    Half the clouds lie on a small integer lattice with a radius of 1, 2,
-    sqrt(2) or sqrt(3), so many pairs sit exactly on the inclusive boundary.
+    Four kinds of cloud:
+    - a small integer lattice with a radius of 1, 2, sqrt(2) or sqrt(3), so
+      many pairs sit exactly on the inclusive boundary;
+    - the same lattice in steps of one ulp of an offset between 1e6 and 2**40,
+      with the radius scaled to match, so points sit exactly at c_a +- epsilon
+      on the axis the cover sorts by, where the slab bounds round;
+    - standard normal points;
+    - standard normal points with one drawn column stretched, so the widest
+      axis is often not column 0.
     Row ids are ascending with gaps, so position and row id differ.
     """
     n = draw(st.integers(1, 60))
     k = draw(st.integers(1, 4))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["lattice", "offset_lattice", "normal", "stretched"]))
+    if kind in ("lattice", "offset_lattice"):
         cells = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
         values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
         epsilon = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0), math.sqrt(3.0)]))
+        if kind == "offset_lattice":
+            offset = draw(st.floats(1e6, 2.0**40))
+            ulp = float(np.spacing(offset))
+            values = offset + values * ulp
+            epsilon *= ulp
     else:
         values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, k))
         epsilon = draw(st.floats(0.2, 3.0))
+        if kind == "stretched":
+            values[:, draw(st.integers(0, k - 1))] *= draw(st.floats(1.5, 10.0))
     row_ids = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
     cloud = bm.PointCloud(tuple(f"x{j}" for j in range(k)), values, tuple(row_ids))
     order = draw(st.sampled_from(["data", "shuffle"]))

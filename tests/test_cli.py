@@ -314,6 +314,8 @@ BAD_INPUT = {
     "variable_summary_mean_overflows": ["variable-summary", "--merged", "{overflow}",
                                         "--variable", "c", "-o", "{out}/s.csv",
                                         "--boxplot", "{out}/b.svg"],
+    "boxplot_range_overflows": ["variable-summary", "--merged", "{span}", "--variable", "c",
+                                "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"],
     "input_not_utf8": ["run", "-i", "{latin1}", "--axes", "x", "-e", "1"] + RUN_OUT,
     "input_field_oversize": ["run", "-i", "{oversize}", "--axes", "x", "-e", "1"] + RUN_OUT,
     "standardize_sd_overflows": ["run", "-i", "{spread}", "--axes", "x", "-e", "1",
@@ -331,6 +333,7 @@ BAD_INPUT_FILES = {
     "huge": b"x,c\n0,1.7e308\n0.5,1.7e308\n",  # one ball whose mean overflows
     "tiny": b"x,c\n0,0\n5,5e-324\n",  # a range too narrow for one bin width
     "overflow": b"ball,c\n1,1.7e308\n1,1.7e308\n",  # a merged ball whose mean overflows
+    "span": b"ball,c\n1,1e308\n2,-1e308\n",  # two finite balls, their range overflows
     "latin1": b"x\n\xff\n",
     "oversize": b"x\n" + b"1" * 131073 + b"\n",  # one field over csv.field_size_limit()
     "header_only": b"x,y\n",

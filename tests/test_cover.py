@@ -74,6 +74,13 @@ class TestBuildCover:
         cover = bm.build_cover(cloud, 1.0)
         assert 15 <= cover.n_balls <= 30
 
+    def test_gap_whose_square_underflows_is_member(self):
+        # 1e-170 squared rounds to 0, so the distance test passes it at any radius.
+        cloud = bm.PointCloud(("x",), np.array([[0.0], [1e-170], [1e-150]]), (0, 1, 2))
+        cover = bm.build_cover(cloud, 1e-200)
+        assert cover.members == ((0, 1), (2,))
+        assert cover == _cover_reference(cloud, 1e-200)
+
     def test_landmark_in_own_ball(self):
         rng = np.random.default_rng(3)
         cover = bm.build_cover(random_cloud(rng, n=120, k=3), 0.8)

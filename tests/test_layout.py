@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper.layout import _MIN_DIST, STEP_END, STEP_START, _simulate
+from ballmapper.layout import _MIN_DIST, _TILE, STEP_END, STEP_START, _simulate
 
 
 def make_graph(n_nodes, edges=()):
@@ -158,7 +158,7 @@ def force_inputs(draw):
 
 
 class TestSimulateMatchesReference:
-    """The plane-buffer loop must reproduce the tensor loop bit for bit."""
+    """The column-tiled loop must reproduce the tensor loop bit for bit."""
 
     @given(force_inputs())
     @settings(max_examples=200, deadline=None)
@@ -178,6 +178,16 @@ class TestSimulateMatchesReference:
         args = (edge_index, 0.05, 0.01, 3)
         assert np.array_equal(_simulate(pos, *args), _simulate_reference(pos, *args))
 
+    @pytest.mark.parametrize("n", [3, 63, 64, 65, 129])
+    def test_tile_edges(self, n):
+        """Graphs smaller than, equal to and one past a multiple of the tile width."""
+        rng = np.random.default_rng(n)
+        pos = rng.normal(size=(n, 2))
+        pos[n - 1] = pos[0]  # a coincident pair in the first and the last tile
+        edge_index = rng.integers(0, n, size=(2 * n, 2))
+        args = (edge_index, 0.05, 0.01, 4)
+        assert np.array_equal(_simulate(pos, *args), _simulate_reference(pos, *args))
+
     def test_input_positions_untouched(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
         before = pos.copy()
@@ -186,8 +196,8 @@ class TestSimulateMatchesReference:
 
 
 def test_scratch_memory_bounded():
-    """Peak scratch memory stays within five B x B float64 planes."""
-    n = 300
+    """Peak scratch memory is O(B * _TILE): within six B x _TILE float64 planes."""
+    n = 2000
     ring = np.array([(i, (i + 1) % n) for i in range(n)])
     angles = 2.0 * np.pi * np.arange(n) / n
     pos = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -197,4 +207,4 @@ def test_scratch_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n * n
+    assert peak <= 6 * 8 * _TILE * n

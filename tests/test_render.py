@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ballmapper as bm
+from ballmapper.errors import ValidationError
 from ballmapper.summary import BallDistributionRow
 
 
@@ -149,6 +150,18 @@ class TestRenderBoxplotSvg:
         ticks = [el.text for el in root.iter()
                  if el.tag.endswith("text") and el.get("text-anchor") == "middle"]
         assert ticks == ["1", "2"]
+
+    def test_overflowing_range_refused(self):
+        rows = [dist_row(1, 1e308, 1e308, 1e308, 1e308, 1e308, size=1),
+                dist_row(2, -1e308, -1e308, -1e308, -1e308, -1e308, size=1)]
+        with pytest.raises(ValidationError, match="span more than float64 can hold"):
+            bm.render_boxplot_svg(rows)
+
+    def test_wide_finite_range_has_finite_coordinates(self):
+        rows = [dist_row(1, 5e307, 5e307, 5e307, 5e307, 5e307, size=1),
+                dist_row(2, -5e307, -5e307, -5e307, -5e307, -5e307, size=1)]
+        svg = bm.render_boxplot_svg(rows)
+        assert "inf" not in svg and "nan" not in svg
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
