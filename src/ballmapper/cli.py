@@ -6,7 +6,9 @@ rows) and a merged CSV with one row per (point, containing ball) pair. The
 summary commands consume the merged CSV, so re-running the pipeline never
 silently invalidates an earlier analysis.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error. Every command writes
+its files all or none, so a failed command leaves earlier outputs untouched,
+and a failed write names its target.
 """
 from __future__ import annotations
 
@@ -107,9 +109,10 @@ def _write_text(path, text: str) -> None:
         f.write(text)
 
 
-def cmd_run(args: argparse.Namespace) -> None:
-    _refuse_same_file({"--input": args.input, "--svg": args.svg,
-                       "--results": args.results, "--merged": args.merged})
+# Each command reads and computes, then returns its outputs as (path, write)
+# pairs, where write(path) fills one file, and the line to print once all of
+# them are in place. main does the refusing, writing and printing.
+def cmd_run(args: argparse.Namespace):
     raw = load_csv(args.input)
     if "ball" in raw.column_names:
         raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
@@ -136,48 +139,40 @@ def cmd_run(args: argparse.Namespace) -> None:
     options = render.RenderOptions(show_labels=args.labels)
     svg = render.render_graph_svg(graph, positions, scale, options)
 
-    _write_all_or_none([
+    return [
         (args.svg, lambda p: _write_text(p, svg)),
         (args.results, lambda p: _write_results_csv(p, graph, positions)),
         (args.merged, lambda p: _write_merged_csv(p, raw, cover)),
-    ])
-    print(
-        f"Ball mapper run complete: graph {args.svg}, "
-        f"results {args.results}, merged {args.merged}"
-    )
+    ], f"Ball mapper run complete: graph {args.svg}, results {args.results}, merged {args.merged}"
 
 
-def cmd_ball_summary(merged_path, variables, out_path) -> None:
-    _refuse_same_file({"--merged": merged_path, "--out": out_path})
-    raw = load_csv(merged_path)
+def cmd_ball_summary(args: argparse.Namespace):
+    raw = load_csv(args.merged)
     groups = summary.ball_groups_from_merged(raw)
-    table = summary.means_over_groups(raw, groups, variables)
-    table.write(out_path)
-    print(f"Ball means for {len(table.rows)} balls written to {out_path}")
+    table = summary.means_over_groups(raw, groups, args.variables)
+    message = f"Ball means for {len(table.rows)} balls written to {args.out}"
+    return [(args.out, table.write)], message
 
 
-def cmd_variable_summary(merged_path, variable, out_path, boxplot_path=None) -> None:
-    _refuse_same_file({"--merged": merged_path, "--out": out_path, "--boxplot": boxplot_path})
-    raw = load_csv(merged_path)
+def cmd_variable_summary(args: argparse.Namespace):
+    raw = load_csv(args.merged)
     groups = summary.ball_groups_from_merged(raw)
-    table = summary.distribution_over_groups(raw, groups, variable)
-    writers = [(out_path, table.write)]
-    if boxplot_path is not None:
-        svg = render.render_boxplot_svg(table.rows, title=variable)
-        writers.append((boxplot_path, lambda p: _write_text(p, svg)))
-    _write_all_or_none(writers)
-    print(f"Summary of {variable!r} written to {', '.join(str(p) for p, _ in writers)}")
+    table = summary.distribution_over_groups(raw, groups, args.variable)
+    writers = [(args.out, table.write)]
+    if args.boxplot is not None:
+        svg = render.render_boxplot_svg(table.rows, title=args.variable)
+        writers.append((args.boxplot, lambda p: _write_text(p, svg)))
+    targets = ", ".join(str(p) for p, _ in writers)
+    return writers, f"Summary of {args.variable!r} written to {targets}"
 
 
-def cmd_gen(dataset, out_path, seed, n, k) -> None:
-    if dataset == "gauss":
-        cloud = datagen.gen_gaussian_cloud(n, k, seed)
-    elif dataset == "x":
-        cloud = datagen.gen_x_dataset(datagen.XDatasetSpec(seed=seed))
+def cmd_gen(args: argparse.Namespace):
+    if args.dataset == "gauss":
+        cloud = datagen.gen_gaussian_cloud(args.n, args.k, args.seed)
     else:
-        raise ValidationError(f"unknown dataset {dataset!r} (expected 'gauss' or 'x')")
-    write_point_cloud_csv(cloud, out_path)
-    print(f"{cloud.n} rows written to {out_path}")
+        cloud = datagen.gen_x_dataset(datagen.XDatasetSpec(seed=args.seed))
+    writers = [(args.out, lambda p: write_point_cloud_csv(cloud, p))]
+    return writers, f"{cloud.n} rows written to {args.out}"
 
 
 def _csv_list(text: str) -> tuple[str, ...]:
@@ -218,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default="bm_graph.svg")
     p.add_argument("--results", default="bm_results.csv")
     p.add_argument("--merged", default="bm_merged.csv")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, paths=("input", "svg", "results", "merged"))
 
     p = sub.add_parser("ball-summary", help="per-ball means from a merged CSV")
     p.add_argument("--merged", required=True)
     p.add_argument("--variables", required=True, type=_csv_list)
     p.add_argument("--out", "-o", required=True)
-    p.set_defaults(func=lambda a: cmd_ball_summary(a.merged, a.variables, a.out))
+    p.set_defaults(func=cmd_ball_summary, paths=("merged", "out"))
 
     p = sub.add_parser("variable-summary",
                        help="per-ball distribution of one variable from a merged CSV")
@@ -232,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variable", required=True)
     p.add_argument("--out", "-o", required=True)
     p.add_argument("--boxplot", default=None, help="also write a boxplot SVG here")
-    p.set_defaults(func=lambda a: cmd_variable_summary(a.merged, a.variable, a.out, a.boxplot))
+    p.set_defaults(func=cmd_variable_summary, paths=("merged", "out", "boxplot"))
 
     p = sub.add_parser("gen", help="write a synthetic benchmark CSV")
-    p.add_argument("dataset", help="'gauss' or 'x'")
+    p.add_argument("dataset", choices=("gauss", "x"))
     p.add_argument("--out", "-o", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=1000, help="rows (gauss only)")
     p.add_argument("--k", type=int, default=2, help="dimensions (gauss only)")
-    p.set_defaults(func=lambda a: cmd_gen(a.dataset, a.out, a.seed, a.n, a.k))
+    p.set_defaults(func=cmd_gen, paths=("out",))
 
     return parser
 
@@ -248,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        _refuse_same_file({f"--{dest}": getattr(args, dest) for dest in args.paths})
+        writers, message = args.func(args)
+        _write_all_or_none(writers)
+        print(message)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

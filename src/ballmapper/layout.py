@@ -45,7 +45,6 @@ def _simulate(
     scale = np.empty((n, width))
     tmp = np.empty((n, width))
     coincident = np.empty((n, width), dtype=bool)
-    cols = np.arange(width)
     # Every block is a full `width` columns wide: the last one starts at
     # n - width and recomputes columns an earlier block already wrote, with
     # the same result. A block one column wide would be reduced by numpy's
@@ -70,8 +69,7 @@ def _simulate(
             np.less_equal(scale, _MIN_DIST ** 2, out=coincident)
             np.maximum(scale, _MIN_DIST ** 2, out=scale)
             np.divide(repulsion, scale, out=scale)
-            np.copyto(scale, 0.0, where=coincident)
-            scale[s + cols, cols] = 0.0  # node i does not push itself
+            np.copyto(scale, 0.0, where=coincident)  # also node i on itself: d2 = 0
             # Node i's push is the sum over j of (pos[i] - pos[j]) * scale,
             # added one j after another. Reducing over axis 0 adds the rows in
             # exactly that order, which keeps positions, and so the golden

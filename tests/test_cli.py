@@ -1,6 +1,10 @@
 import csv
 import hashlib
+import os
+import resource
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -357,3 +361,41 @@ def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
     assert {p: p.read_bytes() for p in inputs} == inputs
+
+
+SUMMARY_VARIABLES = "mpg,trunk,weight,length,turn,displacement,gear_ratio,price,foreign"
+OVER_SIZE_LIMIT = {  # (argv, the output written first); None reruns auto_run_args
+    "run": (None, "g.svg"),
+    "ball-summary": (["ball-summary", "--merged", "{tmp}/m.csv", "--variables",
+                      SUMMARY_VARIABLES, "-o", "{tmp}/means.csv"], "means.csv"),
+    "variable-summary": (["variable-summary", "--merged", "{tmp}/m.csv", "--variable", "price",
+                          "-o", "{tmp}/price.csv", "--boxplot", "{tmp}/box.svg"], "price.csv"),
+    "gen": (["gen", "gauss", "--n", "2000", "-o", "{tmp}/g.csv"], "g.csv"),
+}
+
+
+@pytest.mark.parametrize("argv, target", OVER_SIZE_LIMIT.values(), ids=OVER_SIZE_LIMIT.keys())
+def test_failed_write_names_target_and_keeps_earlier_outputs(argv, target, auto_csv, tmp_path):
+    argv = (auto_run_args(auto_csv, tmp_path) if argv is None
+            else [a.format(tmp=tmp_path) for a in argv])
+    assert run_cli(auto_run_args(auto_csv, tmp_path)) == 0
+    assert run_cli(argv) == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    limit = 1024  # bytes; every target here is larger
+
+    def limit_file_size():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    src = os.path.dirname(os.path.dirname(bm.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from ballmapper.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, preexec_fn=limit_file_size, capture_output=True, text=True,
+    )
+    assert child.returncode == 2, child.stderr
+    assert str(tmp_path / target) in child.stderr
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert list(tmp_path.glob(".*.tmp")) == []
