@@ -13,10 +13,12 @@ and a failed write names its target.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import os
 import secrets
 import sys
+from types import SimpleNamespace
 
 from . import datagen, layout, render, summary
 from .cover import build_cover
@@ -53,12 +55,17 @@ def _write_results_csv(path, graph, positions):
 
 
 def _write_merged_csv(path, raw: RawTable, cover):
-    # The input's cells are already strings, written back as they were read.
-    write_cells(path, ("ball",) + raw.column_names, (
-        (ball,) + raw.rows[r]
-        for ball, member_rows in enumerate(cover.members, start=1)
-        for r in member_rows
-    ))
+    # Each input row is rendered once, after an empty field, so its text starts
+    # with the delimiter; each membership writes its ball id before that text.
+    # csv.writer hands write() one whole row, a quoted newline included.
+    tails: list[str] = []
+    csv.writer(SimpleNamespace(write=tails.append), lineterminator="\n").writerows(
+        ("",) + row for row in raw.rows
+    )
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerow(("ball",) + raw.column_names)
+        for ball, member_rows in enumerate(cover.members, start=1):
+            f.write("".join([f"{ball}{tails[r]}" for r in member_rows]))
 
 
 def _write_all_or_none(writers) -> None:

@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -81,15 +81,6 @@ def default_palette(bin_count: int) -> tuple[str, ...]:
     return tuple(colors)
 
 
-def _membership_matrix(cover: BallCover) -> dict[int, list[int]]:
-    """Invert the cover: row id -> sorted list of ball ids containing it."""
-    containing: dict[int, list[int]] = {r: [] for r in cover.row_ids}
-    for ball, member_rows in enumerate(cover.members, start=1):
-        for r in member_rows:
-            containing[r].append(ball)
-    return containing
-
-
 def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -> MapperGraph:
     """One node per ball plus an edge wherever two member sets intersect.
 
@@ -97,7 +88,11 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
     the source cloud); each node's color_mean is the arithmetic mean over its
     members and each edge records the shared-point count.
     """
-    means: list[float | None] = [None] * cover.n_balls
+    n_balls = cover.n_balls
+    sizes = np.fromiter(map(len, cover.members), dtype=np.int64, count=n_balls)
+    rows = np.fromiter(chain.from_iterable(cover.members), dtype=np.int64, count=int(sizes.sum()))
+
+    means: list[float | None] = [None] * n_balls
     if color_values is not None:
         vals = np.asarray(color_values, dtype=float)
         if vals.shape != (cover.n_points,):
@@ -106,25 +101,48 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
-        by_row = dict(zip(cover.row_ids, vals))
+        # Position of each member in the cover's row order; of two equal row
+        # ids the later one wins, as it would in a dict keyed by row id.
+        ids = np.asarray(cover.row_ids, dtype=np.int64)
+        by_id = np.argsort(ids, kind="stable")
+        pos = by_id[np.searchsorted(ids[by_id], rows, side="right") - 1]
         # A mean that overflows is left as inf or nan for assign_bins to refuse.
+        # Each mean is .mean() over its members in member order: np.add.reduceat
+        # sums in another order and changes the last bits.
         with np.errstate(over="ignore", invalid="ignore"):
-            means = [
-                float(np.mean([by_row[r] for r in member_rows]))
-                for member_rows in cover.members
-            ]
+            means = [float(vals[idx].mean()) for idx in np.split(pos, np.cumsum(sizes)[:-1])]
 
     nodes = tuple(
         GraphNode(ball=b, size=len(m), color_mean=means[b - 1])
         for b, m in enumerate(cover.members, start=1)
     )
+    return MapperGraph(nodes, _overlap_edges(rows, sizes))
 
-    # Each point adds one to the shared count of every pair of balls holding it.
-    shared: Counter[tuple[int, int]] = Counter()
-    for balls in _membership_matrix(cover).values():
-        shared.update(combinations(balls, 2))
-    edges = tuple(GraphEdge(q, s, n) for (q, s), n in sorted(shared.items()))
-    return MapperGraph(nodes, edges)
+
+def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]:
+    """Overlap edges, ascending by (source, target).
+
+    rows holds every ball's member row ids, ball after ball, and sizes the
+    ball sizes. Each point adds one to the shared count of every pair of balls holding
+    it. Points held by m balls form one m-wide table of ball ids, ascending
+    along each row; its column pairs are packed as source * (B + 1) + target
+    keys, whose order is the order of (source, target).
+    """
+    stride = len(sizes) + 1
+    balls = np.repeat(np.arange(1, stride, dtype=np.int64), sizes)
+    order = np.argsort(rows, kind="stable")  # balls stay ascending within a row
+    rows, balls = rows[order], balls[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    mult = np.diff(np.append(starts, len(rows)))
+    keys = [np.empty(0, dtype=np.int64)]
+    for m in range(2, int(mult.max()) + 1):
+        table = balls[starts[mult == m][:, None] + np.arange(m)]
+        i, j = np.triu_indices(m, 1)
+        keys.append((table[:, i] * stride + table[:, j]).ravel())
+    pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+    ball_ids = list(range(stride))  # edges share one int object per ball id
+    return tuple(map(GraphEdge, map(ball_ids.__getitem__, (pairs // stride).tolist()),
+                     map(ball_ids.__getitem__, (pairs % stride).tolist()), shared.tolist()))
 
 
 def assign_bins(

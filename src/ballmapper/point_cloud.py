@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,22 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
     return v
 
 
+def _parse_column(rows: Sequence[Sequence[str]], j: int) -> np.ndarray | None:
+    """Column j as float64 by float() alone, or None if a cell needs _parse_cell.
+
+    float() strips only ASCII whitespace, where str.strip() also strips
+    characters such as '\x1c', so every cell float() accepts parses to the
+    same value in _parse_cell. A cell it refuses, and a NaN or an infinity,
+    makes the caller run _parse_cell over the rows, which raises or drops
+    exactly as it would have without this path.
+    """
+    try:
+        col = np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
+    except ValueError:
+        return None
+    return col if np.isfinite(col).all() else None
+
+
 def _column_position(names: tuple[str, ...], name: str) -> int:
     """Where name sits among the column names; refuses a name not among them."""
     if name not in names:
@@ -62,7 +79,10 @@ class RawTable:
     def numeric_column(self, name: str) -> np.ndarray:
         """Parse one column as float64, rejecting missing or non-numeric cells."""
         j = self.column_index(name)
-        return np.array([_parse_cell(r[j], i, name) for i, r in enumerate(self.rows)])
+        col = _parse_column(self.rows, j)
+        if col is None:
+            col = np.array([_parse_cell(r[j], i, name) for i, r in enumerate(self.rows)])
+        return col
 
 
 @dataclass(frozen=True)
@@ -177,6 +197,12 @@ def validate_axes(
     """
     axes = distinct_names(selection, "axis column")
     cols = [raw.column_index(a) for a in axes]
+
+    # Every column in bulk first. A cell that needs _parse_cell's rules sends
+    # the table through the row-major loop below, which raises or drops.
+    parsed = [_parse_column(raw.rows, j) for j in cols] if raw.rows else [None]
+    if all(col is not None for col in parsed):
+        return PointCloud(axes, np.column_stack(parsed), tuple(range(len(raw.rows)))), ()
 
     values = []
     keep = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .graph import FALLBACK_FILL, ColorScale, MapperGraph
@@ -28,6 +27,15 @@ SVG_OPEN = (
     f'viewBox="0 0 {WIDTH} {HEIGHT}">'
 )
 BACKGROUND_RECT = f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>'
+
+
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML text, in the order xml.sax.saxutils.escape does.
+
+    Importing xml.sax.saxutils pulls in urllib.request, which every command
+    would pay for at startup.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ def _legend(scale: ColorScale) -> list[str]:
         hi = scale.boundaries[b]
         y = 30 + (scale.bin_count - b) * 20
         close = "]" if b == scale.bin_count else ")"
-        label = escape(f"[{lo:.4g}, {hi:.4g}{close}")
+        label = _escape(f"[{lo:.4g}, {hi:.4g}{close}")
         parts.append(
             f'<rect x="{x}" y="{y}" width="14" height="14" '
             f'fill="{scale.color_for_bin(b)}" stroke="{NODE_STROKE}"/>'
@@ -161,7 +169,7 @@ def render_boxplot_svg(stats, title: str = "") -> str:
     if title:
         parts.append(
             f'<text x="{left}" y="18" font-size="13" font-family="sans-serif">'
-            f"{escape(title)}</text>"
+            f"{_escape(title)}</text>"
         )
 
     # y axis with a handful of value ticks

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import ValidationError
 from .point_cloud import RawTable, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def quantile(values: Sequence[float], p: float) -> float:
@@ -112,21 +114,28 @@ def _finite(value: float, stat: str, variable: str, ball: int) -> float:
     return value
 
 
-def ball_groups_from_merged(raw: RawTable) -> dict[int, list[int]]:
-    """Recover ball membership (row indices per ball id) from a merged CSV."""
+def _is_int64(cell: str) -> bool:
+    try:
+        return _INT64_MIN <= int(cell) <= _INT64_MAX
+    except ValueError:
+        return False
+
+
+def ball_groups_from_merged(raw: RawTable) -> dict[int, np.ndarray]:
+    """Recover ball membership (row indices per ball id, in file order) from a merged CSV."""
     if "ball" not in raw.column_names:
         raise ValidationError("merged table has no 'ball' column")
     if not raw.rows:
         raise ValidationError("merged table has no rows")
-    j = raw.column_index("ball")
-    groups: dict[int, list[int]] = {}
-    for i, row in enumerate(raw.rows):
-        try:
-            ball = int(row[j])
-        except ValueError:
-            raise ValidationError(f"bad ball id {row[j]!r} at merged row {i}") from None
-        groups.setdefault(ball, []).append(i)
-    return groups
+    cells = list(map(itemgetter(raw.column_index("ball")), raw.rows))
+    try:
+        balls = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except (ValueError, OverflowError):
+        i = next(i for i, cell in enumerate(cells) if not _is_int64(cell))
+        raise ValidationError(f"bad ball id {cells[i]!r} at merged row {i}") from None
+    order = np.argsort(balls, kind="stable")  # each group keeps file order
+    ids, starts = np.unique(balls[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
 def means_over_groups(
@@ -140,7 +149,7 @@ def means_over_groups(
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
         for ball in sorted(groups):
-            idx = list(groups[ball])
+            idx = np.asarray(groups[ball], dtype=np.intp)
             means = tuple(
                 _finite(float(c[idx].mean()), "mean", v, ball) for c, v in zip(cols, variables)
             )
@@ -157,7 +166,7 @@ def distribution_over_groups(
         for ball in sorted(groups):
             # mean/sd are taken in member order so they match means_over_groups
             # bit for bit; sorting is only for the order statistics
-            member_vals = col[list(groups[ball])]
+            member_vals = col[np.asarray(groups[ball], dtype=np.intp)]
             vals = np.sort(member_vals)
             n = len(vals)
             rows.append(

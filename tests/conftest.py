@@ -34,6 +34,18 @@ def line_cover(line_cloud):
     return bm.build_cover(line_cloud, 1.0)
 
 
+def membership_matrix(cover):
+    """Invert the cover: row id -> sorted list of ball ids containing it.
+
+    The loop build_graph once used, kept as an oracle for its incidence arrays.
+    """
+    containing = {r: [] for r in cover.row_ids}
+    for ball, member_rows in enumerate(cover.members, start=1):
+        for r in member_rows:
+            containing[r].append(ball)
+    return containing
+
+
 def random_cloud(rng, n=None, k=None):
     n = n if n is not None else int(rng.integers(1, 201))
     k = k if k is not None else int(rng.integers(1, 6))

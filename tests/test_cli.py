@@ -7,9 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper.cli import main
+from ballmapper.cli import _write_merged_csv, main
+from ballmapper.point_cloud import write_cells
 
 
 def run_cli(args):
@@ -129,6 +132,58 @@ class TestRun:
         assert run_cli(auto_run_args(auto_csv, tmp_path, "2")) == 0
         for a, b in (("g1.svg", "g2.svg"), ("r1.csv", "r2.csv"), ("m1.csv", "m2.csv")):
             assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+
+
+def _write_merged_reference(path, raw, cover):
+    """The merged writer before each row was rendered once: one writerows call."""
+    write_cells(path, ("ball",) + raw.column_names, (
+        (ball,) + raw.rows[r]
+        for ball, member_rows in enumerate(cover.members, start=1)
+        for r in member_rows
+    ))
+
+
+# Cell text that csv must quote: delimiters, quotes and embedded line breaks.
+CSV_TEXT = st.lists(st.sampled_from(["a", "1.5", ",", '"', "\n", "\r\n", "\r", " ", "é"]),
+                    max_size=4).map("".join)
+
+
+@st.composite
+def merged_inputs(draw):
+    """A raw table of awkward cells and a cover over its rows, balls of any overlap."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    names = tuple(draw(st.lists(CSV_TEXT.filter(bool), min_size=k, max_size=k, unique=True)))
+    rows = tuple(draw(st.lists(st.tuples(*[CSV_TEXT] * k), min_size=n, max_size=n)))
+    subsets = st.sets(st.integers(0, n - 1), min_size=1).map(lambda m: tuple(sorted(m)))
+    members = tuple(draw(st.lists(subsets, min_size=1, max_size=5)))
+    cover = bm.BallCover(1.0, tuple(m[0] for m in members), members, tuple(range(n)))
+    return bm.RawTable(names, rows), cover
+
+
+@given(merged_inputs())
+@example((bm.RawTable(("x",), (("",), ("a\nb",))), bm.BallCover(1.0, (0,), ((0, 1),), (0, 1))))
+@settings(max_examples=200, deadline=None)
+def test_merged_csv_matches_reference_writer(tmp_path_factory, inputs):
+    raw, cover = inputs
+    out = tmp_path_factory.mktemp("merged")
+    _write_merged_csv(out / "got.csv", raw, cover)
+    _write_merged_reference(out / "want.csv", raw, cover)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(bm.__file__))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_out_xml_and_urllib():
+    code = ("import sys, ballmapper.cli; "
+            "print([m for m in ('xml.sax', 'urllib.request') if m in sys.modules])")
+    child = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
 
 
 class TestBallSummaryCommand:
@@ -318,6 +373,8 @@ BAD_INPUT = {
     "variable_summary_mean_overflows": ["variable-summary", "--merged", "{overflow}",
                                         "--variable", "c", "-o", "{out}/s.csv",
                                         "--boxplot", "{out}/b.svg"],
+    "ball_id_outside_int64": ["ball-summary", "--merged", "{bigball}", "--variables", "x",
+                              "-o", "{out}/s.csv"],
     "boxplot_range_overflows": ["variable-summary", "--merged", "{span}", "--variable", "c",
                                 "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"],
     "input_not_utf8": ["run", "-i", "{latin1}", "--axes", "x", "-e", "1"] + RUN_OUT,
@@ -338,6 +395,7 @@ BAD_INPUT_FILES = {
     "tiny": b"x,c\n0,0\n5,5e-324\n",  # a range too narrow for one bin width
     "overflow": b"ball,c\n1,1.7e308\n1,1.7e308\n",  # a merged ball whose mean overflows
     "span": b"ball,c\n1,1e308\n2,-1e308\n",  # two finite balls, their range overflows
+    "bigball": b"ball,x\n1,0\n9223372036854775808,1\n",  # a ball id one past int64
     "latin1": b"x\n\xff\n",
     "oversize": b"x\n" + b"1" * 131073 + b"\n",  # one field over csv.field_size_limit()
     "header_only": b"x,y\n",
@@ -387,13 +445,10 @@ def test_failed_write_names_target_and_keeps_earlier_outputs(argv, target, auto_
         resource.setrlimit(resource.RLIMIT_FSIZE,
                            (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 
-    src = os.path.dirname(os.path.dirname(bm.__file__))
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
         [sys.executable, "-c", "import sys; from ballmapper.cli import main; "
                                "sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, preexec_fn=limit_file_size, capture_output=True, text=True,
+        env=_child_env(), preexec_fn=limit_file_size, capture_output=True, text=True,
     )
     assert child.returncode == 2, child.stderr
     assert str(tmp_path / target) in child.stderr

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.graph import _membership_matrix
 
-from conftest import cover_inputs, random_cloud
+from conftest import cover_inputs, membership_matrix, random_cloud
 
 
 def _cover_reference(cloud, epsilon, order="data", seed=0):
@@ -130,18 +129,18 @@ def cover_as_tuples(cover):
 
 class TestMembershipMatrix:
     def test_line_example(self, line_cover):
-        assert _membership_matrix(line_cover) == {0: [1], 1: [1, 2], 2: [2]}
+        assert membership_matrix(line_cover) == {0: [1], 1: [1, 2], 2: [2]}
 
     def test_single_ball(self):
         cloud = bm.PointCloud(("x",), np.array([[0.0], [0.5]]), (0, 1))
         cover = bm.build_cover(cloud, 1.0)
-        assert _membership_matrix(cover) == {0: [1], 1: [1]}
+        assert membership_matrix(cover) == {0: [1], 1: [1]}
 
     def test_matches_distance_oracle(self):
         rng = np.random.default_rng(11)
         cloud = random_cloud(rng, n=200, k=5)
         cover = bm.build_cover(cloud, 1.2)
-        matrix = _membership_matrix(cover)
+        matrix = membership_matrix(cover)
         for ball, lm in enumerate(cover.landmarks, start=1):
             oracle = brute_force_members(cloud, 1.2, lm)
             assert cover.members[ball - 1] == oracle
@@ -158,7 +157,7 @@ class TestMembershipMatrix:
         assert cover.row_ids == (0, 2, 3)
         assert cover.landmarks == (0, 3)
         assert cover.members == ((0, 2), (2, 3))
-        assert _membership_matrix(cover) == {0: [1], 2: [1, 2], 3: [2]}
+        assert membership_matrix(cover) == {0: [1], 2: [1, 2], 3: [2]}
 
 
 class TestBallSizes:

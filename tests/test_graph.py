@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper.graph import default_palette
 
-from conftest import cover_inputs, random_cloud
+from conftest import cover_inputs, membership_matrix, random_cloud
 
 
 def _edges_reference(cover):
@@ -19,6 +22,28 @@ def _edges_reference(cover):
             if shared:
                 edges.append(bm.GraphEdge(q + 1, s + 1, shared))
     return tuple(edges)
+
+
+def _edges_by_multiplicity(cover):
+    """The per-point Counter loop build_graph once ran, kept as a second oracle."""
+    shared = Counter()
+    for balls in membership_matrix(cover).values():
+        shared.update(combinations(balls, 2))
+    return tuple(bm.GraphEdge(q, s, n) for (q, s), n in sorted(shared.items()))
+
+
+def _means_reference(cover, color_values):
+    """The per-ball means build_graph once took, through a dict keyed by row id."""
+    by_row = dict(zip(cover.row_ids, np.asarray(color_values, dtype=float)))
+    return [float(np.mean([by_row[r] for r in m])) for m in cover.members]
+
+
+def assert_matches_oracles(cover, color_values):
+    g = bm.build_graph(cover, color_values)
+    assert g.edges == _edges_reference(cover) == _edges_by_multiplicity(cover)
+    got = np.array([n.color_mean for n in g.nodes])
+    want = np.array(_means_reference(cover, color_values))
+    assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 class TestBuildGraph:
@@ -63,12 +88,21 @@ class TestBuildGraph:
         edges = bm.build_graph(cover).edges
         assert edges == _edges_reference(cover)
         assert all(e.shared >= 1 and e.source < e.target for e in edges)
+        color = np.random.default_rng(inputs[3]).normal(size=cover.n_points) * 1e3
+        assert_matches_oracles(cover, color)
 
     @pytest.mark.parametrize("order", ["data", "shuffle"])
     def test_edges_match_reference_on_gaussian_cloud(self, order):
         cover = bm.build_cover(bm.gen_gaussian_cloud(2000, 3, seed=4), 0.5, order=order, seed=8)
         assert cover.n_balls > 100
-        assert bm.build_graph(cover).edges == _edges_reference(cover)
+        assert_matches_oracles(cover, np.random.default_rng(5).normal(size=cover.n_points))
+
+    def test_few_big_balls(self):
+        # every point sits in several balls of hundreds of members
+        cover = bm.build_cover(bm.gen_gaussian_cloud(2000, 2, seed=1), 2.0)
+        assert 5 <= cover.n_balls <= 15
+        assert max(map(len, cover.members)) > 500
+        assert_matches_oracles(cover, np.random.default_rng(6).normal(size=cover.n_points))
 
     def test_constant_color(self, line_cover):
         g = bm.build_graph(line_cover, [5.0, 5.0, 5.0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.point_cloud import format_value
+from ballmapper.point_cloud import _parse_cell, format_value
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -133,6 +133,82 @@ class TestValidateAxes:
         cloud, dropped = bm.validate_axes(raw, ("x", "y"), drop_missing=True)
         assert dropped == (1,)
         assert cloud.values.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+
+
+def _validate_axes_reference(raw, axes, drop_missing):
+    """validate_axes' row-major per-cell loop, the only path before the bulk parser."""
+    cols = [raw.column_index(a) for a in axes]
+    values, keep, dropped = [], [], []
+    for i, row in enumerate(raw.rows):
+        try:
+            values.append([_parse_cell(row[j], i, a) for j, a in zip(cols, axes)])
+        except ValidationError:
+            if not drop_missing:
+                raise
+            dropped.append(i)
+        else:
+            keep.append(i)
+    if not keep:
+        raise ValidationError(
+            "no rows remain after dropping rows with missing values" if dropped
+            else "the table has no data rows"
+        )
+    return np.array(values), tuple(keep), tuple(dropped)
+
+
+def _outcome(parse):
+    """What a parse gives: its floats bit for bit, or its error message."""
+    try:
+        values, *ids = parse()
+    except ValidationError as exc:
+        return "error", str(exc)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    return values.shape, values.tobytes(), ids
+
+
+PADS = (" \u2003", " \u2003\x1c\x1d\x1e\x1f")  # float() strips only the first set
+SPECIALS = (("1_0",), ("1_0", "", "nan", "inf", "1e400"))
+
+
+@st.composite
+def cell_tables(draw):
+    """A RawTable of numeric-looking cells; some tables are all plain floats."""
+    k = draw(st.integers(1, 3))
+    pad = st.text(alphabet=draw(st.sampled_from(PADS)), max_size=2)
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = st.one_of(st.tuples(pad, finite, pad).map("".join),
+                     st.sampled_from(draw(st.sampled_from(SPECIALS))))
+    rows = draw(st.lists(st.tuples(*[cell] * k), max_size=6))
+    return bm.RawTable(tuple(f"c{j}" for j in range(k)), tuple(rows))
+
+
+class TestBulkParserMatchesPerCellLoop:
+    @given(cell_tables(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_validate_axes(self, raw, drop_missing):
+        axes = raw.column_names[::-1]  # not file order, so the row-major order matters
+
+        def parse():
+            cloud, dropped = bm.validate_axes(raw, axes, drop_missing=drop_missing)
+            return cloud.values, cloud.row_ids, dropped
+
+        assert _outcome(parse) == _outcome(
+            lambda: _validate_axes_reference(raw, axes, drop_missing))
+
+    @given(cell_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_numeric_column(self, raw):
+        for j, name in enumerate(raw.column_names):
+            got = _outcome(lambda: (raw.numeric_column(name),))
+            want = _outcome(lambda: (np.array(
+                [_parse_cell(r[j], i, name) for i, r in enumerate(raw.rows)]),))
+            assert got == want
+
+    def test_control_padding_falls_through(self):
+        raw = bm.RawTable(("x",), (("\x1c1\x1f",), ("2",)))
+        cloud, _ = bm.validate_axes(raw, ("x",))
+        assert cloud.values.tolist() == [[1.0], [2.0]]
+        assert raw.numeric_column("x").tolist() == [1.0, 2.0]
 
 
 class TestPointCloudInvariants:

@@ -1,11 +1,20 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
+from ballmapper.render import _escape
 from ballmapper.summary import BallDistributionRow
+
+
+@given(st.text(alphabet="&<>;ag\"'", max_size=10))
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
 
 
 def svg_tags(svg):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import summary
 from ballmapper.errors import ValidationError
-from ballmapper.graph import _membership_matrix
+
+from conftest import membership_matrix
 
 
 def oracle_quantile(values, p):
@@ -130,6 +131,21 @@ class TestBallSummary:
         with pytest.raises(ValidationError, match="the mean of 'c' in ball 3 overflows float64"):
             summary.means_over_groups(raw, {3: [0, 1]}, ("c",))
 
+    def test_groups_keep_file_order(self):
+        balls = ("2", "1", "2", "1", " 3 ", "3")
+        raw = bm.RawTable(("ball", "x"), tuple((b, str(i)) for i, b in enumerate(balls)))
+        groups = summary.ball_groups_from_merged(raw)
+        assert sorted(groups) == [1, 2, 3]
+        assert [groups[b].tolist() for b in (1, 2, 3)] == [[1, 3], [0, 2], [4, 5]]
+
+    @pytest.mark.parametrize("cell", ["x", "1.0", "", "9223372036854775808",
+                                      "-9223372036854775809"])
+    def test_bad_ball_id_named(self, cell):
+        raw = bm.RawTable(("ball", "x"), (("1", "0"), (cell, "1"), ("y", "2")))
+        with pytest.raises(ValidationError) as exc:
+            summary.ball_groups_from_merged(raw)
+        assert str(exc.value) == f"bad ball id {cell!r} at merged row 1"
+
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
         table = bm.ball_summary(auto_cover, auto_raw, ("price",))
         assert [r.size for r in table.rows] == bm.ball_sizes(auto_cover)
@@ -204,7 +220,7 @@ class TestVariableSummary:
         assert ball9[2] == ""
 
     def test_membership_total_matches_size_sum(self, auto_cover):
-        matrix = _membership_matrix(auto_cover)
+        matrix = membership_matrix(auto_cover)
         total = sum(len(balls) for balls in matrix.values())
         assert total == sum(bm.ball_sizes(auto_cover)) == 101
         assert auto_cover.n_points == 74
