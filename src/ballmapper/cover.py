@@ -22,7 +22,8 @@ class BallCover:
     """A cover: ball b (1-based) is centred on landmarks[b-1] with radius epsilon.
 
     Landmark and member values are row ids of the source cloud; member lists
-    are sorted ascending. Every row id appears in at least one ball.
+    are sorted ascending. row_ids ascend, as in the PointCloud the cover was
+    built from. Every row id appears in at least one ball.
     """
 
     epsilon: float

@@ -101,11 +101,7 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
-        # Position of each member in the cover's row order; of two equal row
-        # ids the later one wins, as it would in a dict keyed by row id.
-        ids = np.asarray(cover.row_ids, dtype=np.int64)
-        by_id = np.argsort(ids, kind="stable")
-        pos = by_id[np.searchsorted(ids[by_id], rows, side="right") - 1]
+        pos = np.searchsorted(cover.row_ids, rows)  # row ids ascend, as in the cloud
         # A mean that overflows is left as inf or nan for assign_bins to refuse.
         # Each mean is .mean() over its members in member order: np.add.reduceat
         # sums in another order and changes the last bits.

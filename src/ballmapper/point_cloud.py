@@ -43,20 +43,28 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
     return v
 
 
-def _parse_column(rows: Sequence[Sequence[str]], j: int) -> np.ndarray | None:
-    """Column j as float64 by float() alone, or None if a cell needs _parse_cell.
+def _parse_column(rows: Sequence[Sequence[str]], j: int) -> np.ndarray:
+    """Column j as float64, non-finite exactly where _parse_cell refuses the cell.
 
-    float() strips only ASCII whitespace, where str.strip() also strips
-    characters such as '\x1c', so every cell float() accepts parses to the
-    same value in _parse_cell. A cell it refuses, and a NaN or an infinity,
-    makes the caller run _parse_cell over the rows, which raises or drops
-    exactly as it would have without this path.
+    float() over the whole column first. It strips only ASCII whitespace,
+    where str.strip() also strips characters such as '\x1c', so every cell it
+    accepts parses to the same value in _parse_cell, which refuses the NaNs
+    and infinities among them. If float() refuses a cell, this column goes
+    cell by cell through _parse_cell instead, a refused cell read as NaN.
     """
     try:
-        col = np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
+        return np.fromiter(map(float, map(itemgetter(j), rows)), dtype=float, count=len(rows))
     except ValueError:
-        return None
-    return col if np.isfinite(col).all() else None
+        return np.fromiter(map(_cell_or_nan, map(itemgetter(j), rows)), dtype=float,
+                           count=len(rows))
+
+
+def _cell_or_nan(cell: str) -> float:
+    """_parse_cell's value for the cell, or NaN where it refuses the cell."""
+    try:
+        return _parse_cell(cell, 0, "")
+    except ValidationError:
+        return math.nan
 
 
 def _column_position(names: tuple[str, ...], name: str) -> int:
@@ -80,8 +88,9 @@ class RawTable:
         """Parse one column as float64, rejecting missing or non-numeric cells."""
         j = self.column_index(name)
         col = _parse_column(self.rows, j)
-        if col is None:
-            col = np.array([_parse_cell(r[j], i, name) for i, r in enumerate(self.rows)])
+        bad = np.flatnonzero(~np.isfinite(col))
+        if len(bad):
+            _parse_cell(self.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
         return col
 
 
@@ -90,8 +99,8 @@ class PointCloud:
     """Validated N x K numeric table; the space the cover is built over.
 
     Immutable after construction: the value array is marked read-only and
-    row_ids keep the 0-based input file order, which all downstream
-    determinism keys off.
+    row_ids keep the 0-based input file order (non-negative, strictly
+    ascending), which all downstream determinism keys off.
     """
 
     column_names: tuple[str, ...]
@@ -111,6 +120,8 @@ class PointCloud:
             raise ValueError("column names must be unique and non-empty")
         if len(self.row_ids) != vals.shape[0]:
             raise ValueError("row id count does not match table height")
+        if np.any(np.diff(self.row_ids, prepend=-1) <= 0):
+            raise ValueError("row ids must be non-negative and strictly ascending")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -191,39 +202,29 @@ def validate_axes(
 ) -> tuple[PointCloud, tuple[int, ...]]:
     """Build the numeric point cloud over the axis columns.
 
-    Returns the cloud plus the ids of any rows removed. Rows with missing or
-    non-numeric axis cells are a hard error unless drop_missing is set, in
-    which case they are dropped and reported via the second return value.
+    Returns the cloud plus the ids of any rows removed. Each axis column is
+    parsed once. A missing or non-numeric cell is an error for the first such
+    cell in row-major order (axes in the given order), unless drop_missing is
+    set: then every row holding one is dropped and its id returned.
     """
     axes = distinct_names(selection, "axis column")
     cols = [raw.column_index(a) for a in axes]
+    if not raw.rows:
+        raise ValidationError("the table has no data rows")
 
-    # Every column in bulk first. A cell that needs _parse_cell's rules sends
-    # the table through the row-major loop below, which raises or drops.
-    parsed = [_parse_column(raw.rows, j) for j in cols] if raw.rows else [None]
-    if all(col is not None for col in parsed):
-        return PointCloud(axes, np.column_stack(parsed), tuple(range(len(raw.rows)))), ()
-
-    values = []
-    keep = []
-    dropped = []
-    for i, row in enumerate(raw.rows):
-        try:  # cells parse left to right, so the first bad one in row-major order raises
-            values.append([_parse_cell(row[j], i, a) for j, a in zip(cols, axes)])
-        except ValidationError:
-            if not drop_missing:
-                raise
-            dropped.append(i)
-        else:
-            keep.append(i)
-    if not keep:
-        raise ValidationError(
-            "no rows remain after dropping rows with missing values" if dropped
-            else "the table has no data rows"
-        )
-
-    cloud = PointCloud(axes, np.array(values), tuple(keep))
-    return cloud, tuple(dropped)
+    values = np.column_stack([_parse_column(raw.rows, j) for j in cols])
+    bad = ~np.isfinite(values)
+    bad_rows = bad.any(axis=1)
+    if not bad_rows.any():
+        return PointCloud(axes, values, tuple(range(len(raw.rows)))), ()
+    if not drop_missing:
+        i, j = np.argwhere(bad)[0].tolist()  # argwhere walks in row-major order
+        _parse_cell(raw.rows[i][cols[j]], i, axes[j])  # raises: the cell is refused
+    keep = np.flatnonzero(~bad_rows)
+    if not len(keep):
+        raise ValidationError("no rows remain after dropping rows with missing values")
+    cloud = PointCloud(axes, values[keep], tuple(keep.tolist()))
+    return cloud, tuple(np.flatnonzero(bad_rows).tolist())
 
 
 def standardize(

@@ -59,6 +59,13 @@ class TestBuildGraph:
         assert g.edges == ()
         assert g.nodes[0].color_mean is None
 
+    def test_repeated_row_ids_never_reach_build_graph(self):
+        # Past build_cover, a repeated row id is one ball with members (0, 0),
+        # a self-loop edge (1, 1) and a colour mean over the wrong points.
+        with pytest.raises(ValueError, match="strictly ascending"):
+            cloud = bm.PointCloud(("x",), np.array([[0.0], [0.5]]), (0, 0))
+            bm.build_graph(bm.build_cover(cloud, 1.0), [1.0, 3.0])
+
     def test_color_length_mismatch(self, line_cover):
         with pytest.raises(ValidationError, match="color column has 2 values, expected 3"):
             bm.build_graph(line_cover, [1.0, 2.0])

@@ -204,6 +204,28 @@ class TestBulkParserMatchesPerCellLoop:
                 [_parse_cell(r[j], i, name) for i, r in enumerate(raw.rows)]),))
             assert got == want
 
+    @pytest.mark.parametrize("rows, message", [
+        # axes (y, x): row-major meets 'foo' at row 1, column-major the '' at row 2
+        ((("1", "2"), ("foo", "3"), ("4", "")), "non-numeric cell 'foo' in column 'x' at row 1"),
+        ((("1", "2"), ("nan", "")), "missing value in column 'y' at row 1"),
+    ], ids=["row_before_column", "two_bad_axes_in_one_row"])
+    def test_first_bad_cell_examples(self, rows, message):
+        raw = bm.RawTable(("x", "y"), rows)
+        axes = ("y", "x")
+        with pytest.raises(ValidationError) as exc:
+            bm.validate_axes(raw, axes)
+        assert str(exc.value) == message
+        cloud, dropped = bm.validate_axes(raw, axes, drop_missing=True)
+        assert (cloud.values.tolist(), cloud.row_ids) == ([[2.0, 1.0]], (0,))
+        assert dropped == tuple(range(1, len(rows)))
+        for drop_missing in (False, True):
+            def parse():
+                cloud, dropped = bm.validate_axes(raw, axes, drop_missing=drop_missing)
+                return cloud.values, cloud.row_ids, dropped
+
+            assert _outcome(parse) == _outcome(
+                lambda: _validate_axes_reference(raw, axes, drop_missing))
+
     def test_control_padding_falls_through(self):
         raw = bm.RawTable(("x",), (("\x1c1\x1f",), ("2",)))
         cloud, _ = bm.validate_axes(raw, ("x",))
@@ -223,6 +245,14 @@ class TestPointCloudInvariants:
     def test_rejects_row_id_mismatch(self):
         with pytest.raises(ValueError):
             bm.PointCloud(("x",), np.ones((2, 1)), (0,))
+
+    @pytest.mark.parametrize("row_ids", [(0, 0), (5, 2), (-1,)],
+                             ids=["repeated", "descending", "negative"])
+    def test_rejects_row_ids_not_ascending(self, row_ids):
+        values = np.arange(len(row_ids), dtype=float).reshape(-1, 1)
+        with pytest.raises(ValueError, match="strictly ascending") as exc:
+            bm.PointCloud(("x",), values, row_ids)
+        assert exc.type is ValueError  # misuse of the type, not bad input
 
     def test_values_are_read_only(self):
         cloud = bm.PointCloud(("x",), np.ones((2, 1)), (0, 1))
