@@ -71,38 +71,61 @@ def build_cover(
         scan_order = np.arange(n)
 
     pts = cloud.values
-    # Sort the points once along their widest axis; each ball then tests only
-    # the contiguous slab of points whose coordinate on that axis lies within
-    # the radius of the landmark's.
-    axis = int(np.argmax(np.ptp(pts, axis=0)))
-    perm = np.argsort(pts[:, axis], kind="stable")
-    sorted_pts = pts[perm]
-    keys = pts[perm, axis]
-    # The slab is a superset of the points that pass the distance test below.
-    # That test sums nonnegative rounded squares and rounding is monotone, so a
-    # passing point has |fl(p_a - c_a)| <= epsilon up to a few ulps, and
-    # |fl(p_a - c_a)| is within one ulp of the true gap; the relative margin
-    # covers both. A gap below _UNDERFLOW_GAP squares to 0 and passes any
-    # radius, so it always stays in the slab. The stored p_a is a float, so
-    # p_a <= c_a + half_width implies p_a <= fl(c_a + half_width).
-    half_width = epsilon * (1 + 1e-12) + _UNDERFLOW_GAP
-    covered = np.zeros(n, dtype=bool)
-    landmarks: list[int] = []
-    members: list[tuple[int, ...]] = []
-    row_ids = np.asarray(cloud.row_ids)
+    k = cloud.k
+    # A gap that overflows float64 becomes inf: it is never a member (its
+    # square is inf), inf <= inf keeps it a prefilter survivor, and c_a -+ an
+    # inf half-width still gives ordered slab bounds.
+    with np.errstate(over="ignore"):
+        # Sort the points once along their widest axis; each ball then looks
+        # only at the contiguous slab of points whose coordinate on that axis
+        # lies within the radius of the landmark's.
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        perm = np.argsort(pts[:, axis], kind="stable")
+        cols = np.ascontiguousarray(pts[perm].T)  # K x N, sorted along axis
+        keys = cols[axis]
+        # Membership is decided only by the row-wise test sqrt(s) <= epsilon,
+        # where s = einsum("ij,ij->i") sums the squares of d_a = fl(p_a - c_a).
+        # The slab and the column-wise prefilter s' <= bound each keep every
+        # point that test passes. With S the exact sum of the d_a**2 and
+        # u = 2**-53, the proof uses two facts only, for any summation order,
+        # with or without FMA:
+        # (1) s and s' both lie within K*u*S of S;
+        # (2) underflow costs each of the K products or fused steps at most
+        #     2**-1075 more (a sum of subnormals is exact).
+        # sqrt is correctly rounded, so a passing point has
+        # s <= (epsilon*(1 + u))**2 up to that floor, and then
+        # s' <= epsilon**2 * (1 + (2K + 3)u + O(u**2)) + 2K * 2**-1074. The
+        # relative margin below puts (1 + 8(K + 2)u)**2 into bound, more than
+        # that plus the four roundings that compute bound, and the absolute
+        # term k * 2**-1070 is more than the floor. The slab needs less: s >=
+        # fl(d_a**2), as rounding is monotone, so |p_a - c_a| <=
+        # epsilon*(1 + 3u); a gap below _UNDERFLOW_GAP squares to 0 and passes
+        # any radius, so it stays in the slab; and the stored p_a is a float,
+        # so p_a <= c_a + half_width implies p_a <= fl(c_a + half_width).
+        half_width = epsilon * (1 + (k + 2) * 2.0**-50) + _UNDERFLOW_GAP
+        bound = half_width * half_width + k * 2.0**-1070
+        los = np.searchsorted(keys, pts[:, axis] - half_width, side="left")
+        his = np.searchsorted(keys, pts[:, axis] + half_width, side="right")
+        scratch = np.empty((k, int((his - los).max())))
+        covered = np.zeros(n, dtype=bool)
+        landmarks: list[int] = []
+        members: list[tuple[int, ...]] = []
+        row_ids = np.asarray(cloud.row_ids)
 
-    for lm in scan_order.tolist():
-        if covered[lm]:
-            continue
-        c = pts[lm]
-        lo = int(np.searchsorted(keys, c[axis] - half_width, side="left"))
-        hi = int(np.searchsorted(keys, c[axis] + half_width, side="right"))
-        diff = sorted_pts[lo:hi] - c
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        in_ball = np.sort(perm[lo + np.nonzero(dist <= epsilon)[0]])
-        covered[in_ball] = True
-        landmarks.append(int(row_ids[lm]))
-        members.append(tuple(row_ids[in_ball].tolist()))
+        for lm in scan_order.tolist():
+            if covered[lm]:
+                continue
+            c = pts[lm]
+            lo, hi = int(los[lm]), int(his[lm])
+            d = np.subtract(cols[:, lo:hi], c[:, None], out=scratch[:, : hi - lo])
+            near = perm[lo:hi][np.einsum("ij,ij->j", d, d) <= bound]
+            diff = pts[near] - c
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            in_ball = near[dist <= epsilon]
+            in_ball.sort()
+            covered[in_ball] = True
+            landmarks.append(int(row_ids[lm]))
+            members.append(tuple(row_ids[in_ball].tolist()))
 
     return BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .point_cloud import RawTable, distinct_names, write_csv
+from .point_cloud import RawTable, _parse_cell, _parse_column, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -138,6 +138,22 @@ def ball_groups_from_merged(raw: RawTable) -> dict[int, np.ndarray]:
     return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
+def _held_column(raw: RawTable, name: str, groups: Mapping[int, Sequence[int]]) -> np.ndarray:
+    """Column name as float64; refuses a missing or non-numeric cell that some
+    group holds, with the first such row in the error, and ignores the rest."""
+    j = raw.column_index(name)
+    col = _parse_column(raw.rows, j)
+    bad = np.flatnonzero(~np.isfinite(col))
+    if len(bad):
+        held = np.zeros(len(col), dtype=bool)
+        for idx in groups.values():
+            held[np.asarray(idx, dtype=np.intp)] = True
+        bad = bad[held[bad]]
+        if len(bad):
+            _parse_cell(raw.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
+    return col
+
+
 def means_over_groups(
     raw: RawTable, groups: Mapping[int, Sequence[int]], variables: Sequence[str]
 ) -> BallMeansTable:
@@ -145,7 +161,7 @@ def means_over_groups(
     for v in variables:
         if v in ("ball", "size"):
             raise ValidationError(f"variable {v!r} would clash with the table's {v!r} column")
-    cols = [raw.numeric_column(v) for v in variables]
+    cols = [_held_column(raw, v, groups) for v in variables]
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
         for ball in sorted(groups):
@@ -160,7 +176,7 @@ def means_over_groups(
 def distribution_over_groups(
     raw: RawTable, groups: Mapping[int, Sequence[int]], variable: str
 ) -> BallDistributionTable:
-    col = raw.numeric_column(variable)
+    col = _held_column(raw, variable, groups)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
         for ball in sorted(groups):

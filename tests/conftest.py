@@ -57,21 +57,30 @@ def random_cloud(rng, n=None, k=None):
 def cover_inputs(draw):
     """(cloud, epsilon, order, seed) for build_cover, as the oracle tests use them.
 
-    Four kinds of cloud:
+    Seven kinds of cloud, with 1 to 12 axes:
     - a small integer lattice with a radius of 1, 2, sqrt(2) or sqrt(3), so
       many pairs sit exactly on the inclusive boundary;
     - the same lattice in steps of one ulp of an offset between 1e6 and 2**40,
       with the radius scaled to match, so points sit exactly at c_a +- epsilon
       on the axis the cover sorts by, where the slab bounds round;
+    - the same lattice scaled to steps near 1e-160, where the squares of the
+      gaps underflow, with radii down to where the radius squared is 0;
+    - a shell: a centre, then points at c + epsilon * u / |u| in random
+      directions u with each coordinate nudged by -4 to +4 ulps, so that
+      distances straddle epsilon in every axis, not just on a lattice;
+    - points near +-1e308, where gaps and their squares overflow float64;
     - standard normal points;
     - standard normal points with one drawn column stretched, so the widest
       axis is often not column 0.
     Row ids are ascending with gaps, so position and row id differ.
     """
     n = draw(st.integers(1, 60))
-    k = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["lattice", "offset_lattice", "normal", "stretched"]))
-    if kind in ("lattice", "offset_lattice"):
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(
+        ["lattice", "offset_lattice", "tiny", "shell", "huge", "normal", "stretched"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("lattice", "offset_lattice", "tiny", "huge"):
         cells = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
         values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
         epsilon = draw(st.sampled_from([1.0, 2.0, math.sqrt(2.0), math.sqrt(3.0)]))
@@ -80,8 +89,22 @@ def cover_inputs(draw):
             ulp = float(np.spacing(offset))
             values = offset + values * ulp
             epsilon *= ulp
+        elif kind == "tiny":
+            step = draw(st.floats(1e-163, 1e-158))
+            values *= step
+            epsilon *= step * draw(st.sampled_from([1.0, 1e-3, 1e-10]))
+        elif kind == "huge":
+            values *= 5.9e307
+            epsilon = draw(st.sampled_from([1.5, 1e154, 1e300, 1.5e308, 1.79e308]))
+    elif kind == "shell":
+        epsilon = draw(st.floats(1e-3, 1e3))
+        u = rng.normal(size=(n, k))
+        centre = rng.normal(size=k) * draw(st.sampled_from([0.0, 1.0, 1e3]))
+        values = centre + epsilon * u / np.linalg.norm(u, axis=1, keepdims=True)
+        values += rng.integers(-4, 5, size=(n, k)) * np.spacing(values)
+        values[0] = centre
     else:
-        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, k))
+        values = rng.normal(size=(n, k))
         epsilon = draw(st.floats(0.2, 3.0))
         if kind == "stretched":
             values[:, draw(st.integers(0, k - 1))] *= draw(st.floats(1.5, 10.0))

@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,6 +72,21 @@ class TestRun:
         code = run_cli(["run", "-i", auto_csv, "--axes", "mpg", "-e", "0"])
         assert code == 1
         assert "epsilon must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1.5", "1e308"])
+    def test_gap_that_overflows_runs_without_warning(self, tmp_path, epsilon):
+        # x spans 2e308, past float64: no stage may warn, and the inf gap is no member
+        path = tmp_path / "h.csv"
+        path.write_text("x,y\n1e308,0\n-1e308,0\n1e308,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["run", "-i", path, "--axes", "x,y", "-e", epsilon,
+                            "--svg", tmp_path / "h.svg", "--results", tmp_path / "r.csv",
+                            "--merged", tmp_path / "m.csv"])
+        assert code == 0
+        assert [(r["ball"], r["x"], r["y"]) for r in read_rows(tmp_path / "m.csv")] == [
+            ("1", "1e308", "0"), ("1", "1e308", "1"), ("2", "-1e308", "0"),
+        ]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code = run_cli(["run", "-i", tmp_path / "no.csv", "--axes", "x", "-e", "1"])

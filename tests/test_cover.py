@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,42 @@ def _cover_reference(cloud, epsilon, order="data", seed=0):
     return bm.BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
 
 
+def _cover_slab_reference(cloud, epsilon, order="data", seed=0):
+    """The one-axis slab loop build_cover ran before its column-wise prefilter,
+    kept verbatim as a second oracle."""
+    n = cloud.n
+    if order == "shuffle":
+        scan_order = np.random.default_rng(seed).permutation(n)
+    else:
+        scan_order = np.arange(n)
+
+    pts = cloud.values
+    axis = int(np.argmax(np.ptp(pts, axis=0)))
+    perm = np.argsort(pts[:, axis], kind="stable")
+    sorted_pts = pts[perm]
+    keys = pts[perm, axis]
+    half_width = epsilon * (1 + 1e-12) + 1e-160
+    covered = np.zeros(n, dtype=bool)
+    landmarks = []
+    members = []
+    row_ids = np.asarray(cloud.row_ids)
+
+    for lm in scan_order.tolist():
+        if covered[lm]:
+            continue
+        c = pts[lm]
+        lo = int(np.searchsorted(keys, c[axis] - half_width, side="left"))
+        hi = int(np.searchsorted(keys, c[axis] + half_width, side="right"))
+        diff = sorted_pts[lo:hi] - c
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        in_ball = np.sort(perm[lo + np.nonzero(dist <= epsilon)[0]])
+        covered[in_ball] = True
+        landmarks.append(int(row_ids[lm]))
+        members.append(tuple(row_ids[in_ball].tolist()))
+
+    return bm.BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
+
+
 def brute_force_members(cloud, epsilon, landmark_row):
     """Oracle: every row within epsilon of the landmark, via per-pair distances."""
     pos = {r: i for i, r in enumerate(cloud.row_ids)}
@@ -68,6 +107,14 @@ class TestBuildCover:
         assert cover.n_balls == 1
         assert cover.members[0] == (0, 1)
 
+    def test_point_whose_distance_rounds_to_epsilon_is_member(self):
+        # The squares sum to exactly 3, and sqrt(3.0) == epsilon, but
+        # epsilon * epsilon rounds to just below 3: the prefilter needs its margin.
+        epsilon = math.sqrt(3.0)
+        assert epsilon * epsilon < 3.0
+        cloud = bm.PointCloud(("x", "y", "z"), np.array([[0.0, 0, 0], [1.0, 1, 1]]), (0, 1))
+        assert bm.build_cover(cloud, epsilon).members == ((0, 1),)
+
     def test_gaussian_cloud_ball_count(self):
         cloud = bm.gen_gaussian_cloud(1000, 2, seed=1)
         cover = bm.build_cover(cloud, 1.0)
@@ -79,6 +126,33 @@ class TestBuildCover:
         cover = bm.build_cover(cloud, 1e-200)
         assert cover.members == ((0, 1), (2,))
         assert cover == _cover_reference(cloud, 1e-200)
+
+    def test_gap_that_overflows_is_no_member_and_no_warning(self):
+        cloud = bm.PointCloud(("x", "y"), np.array([[1e308, 0], [-1e308, 0], [1e308, 1]]),
+                              (0, 1, 2))
+        for epsilon in (1.5, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cover = bm.build_cover(cloud, epsilon)
+            assert cover.members == ((0, 2), (1,))
+
+    def test_exact_test_runs_on_prefilter_survivors_only(self, monkeypatch):
+        # The column-wise prefilter is what makes the cover fast: the exact
+        # sqrt test must see about the members, not the whole slab (about 46%
+        # of N per landmark on this cloud).
+        cloud, _ = bm.standardize(bm.gen_gaussian_cloud(3000, 5, seed=2))
+        sqrt, evaluated = np.sqrt, []
+
+        def counting_sqrt(x):
+            evaluated.append(x.size)
+            return sqrt(x)
+
+        monkeypatch.setattr(np, "sqrt", counting_sqrt)
+        cover = bm.build_cover(cloud, 1.0)
+        monkeypatch.undo()
+        assert cover == _cover_reference(cloud, 1.0)
+        assert len(evaluated) == cover.n_balls
+        assert sum(evaluated) <= 1.01 * sum(bm.ball_sizes(cover))
 
     def test_landmark_in_own_ball(self):
         rng = np.random.default_rng(3)
@@ -102,8 +176,12 @@ class TestBuildCover:
     @given(cover_inputs())
     @settings(max_examples=200, deadline=None)
     def test_matches_rescan_reference(self, inputs):
-        cover = bm.build_cover(*inputs)
-        assert cover == _cover_reference(*inputs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cover = bm.build_cover(*inputs)
+        with np.errstate(over="ignore"):  # the oracles warn on gaps that overflow
+            assert cover == _cover_reference(*inputs)
+            assert cover == _cover_slab_reference(*inputs)
         assert all(type(r) is int for r in cover.landmarks)
         assert all(type(r) is int for m in cover.members for r in m)
 

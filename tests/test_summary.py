@@ -146,6 +146,28 @@ class TestBallSummary:
             summary.ball_groups_from_merged(raw)
         assert str(exc.value) == f"bad ball id {cell!r} at merged row 1"
 
+    def test_cells_no_ball_holds_are_not_parsed(self, auto_raw):
+        # rep78 is missing in the five dropped rows, which no ball holds
+        cloud, dropped = bm.validate_axes(auto_raw, ("rep78", "mpg"), drop_missing=True)
+        assert dropped == (2, 6, 44, 50, 63)
+        cover = bm.build_cover(cloud, 1.0)
+        rep78 = dict(zip(cloud.row_ids, cloud.column("rep78")))
+        means = bm.ball_summary(cover, auto_raw, ("rep78",))
+        dist = bm.variable_summary(cover, auto_raw, "rep78")
+        for members, m, d in zip(cover.members, means.rows, dist.rows):
+            assert m.means[0] == d.mean == np.mean([rep78[r] for r in members])
+
+    @pytest.mark.parametrize("summarise", [
+        lambda cover, raw: bm.ball_summary(cover, raw, ("v",)),
+        lambda cover, raw: bm.variable_summary(cover, raw, "v"),
+    ], ids=["ball_summary", "variable_summary"])
+    def test_held_bad_cell_refused_with_its_row(self, summarise):
+        raw = bm.RawTable(("x", "v"), (("0", ""), ("1", "1"), ("2", "foo"), ("3", "")))
+        cloud = bm.PointCloud(("x",), np.array([[1.0], [2.0]]), (1, 2))
+        with pytest.raises(ValidationError) as exc:
+            summarise(bm.build_cover(cloud, 0.5), raw)
+        assert str(exc.value) == "non-numeric cell 'foo' in column 'v' at row 2"
+
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
         table = bm.ball_summary(auto_cover, auto_raw, ("price",))
         assert [r.size for r in table.rows] == bm.ball_sizes(auto_cover)
