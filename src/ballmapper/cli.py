@@ -154,17 +154,13 @@ def cmd_run(args: argparse.Namespace):
 
 
 def cmd_ball_summary(args: argparse.Namespace):
-    raw = load_csv(args.merged)
-    groups = summary.ball_groups_from_merged(raw)
-    table = summary.means_over_groups(raw, groups, args.variables)
+    table = summary.means_from_merged(args.merged, args.variables)
     message = f"Ball means for {len(table.rows)} balls written to {args.out}"
     return [(args.out, table.write)], message
 
 
 def cmd_variable_summary(args: argparse.Namespace):
-    raw = load_csv(args.merged)
-    groups = summary.ball_groups_from_merged(raw)
-    table = summary.distribution_over_groups(raw, groups, args.variable)
+    table = summary.distribution_from_merged(args.merged, args.variable)
     writers = [(args.out, table.write)]
     if args.boxplot is not None:
         svg = render.render_boxplot_svg(table.rows, title=args.variable)

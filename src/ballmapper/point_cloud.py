@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -150,11 +150,14 @@ class StandardizationSpec:
             raise ValueError("standardization requires positive standard deviations")
 
 
-def load_csv(path) -> RawTable:
-    """Read a CSV file with a mandatory header row.
+def _checked_rows(path) -> Iterator:
+    """Yield a CSV file's header names as a tuple, then each data row as a list of cells.
 
-    Text columns are preserved verbatim so identifier columns survive the
-    round trip; numeric interpretation happens later in validate_axes.
+    The one validation path for every CSV the package reads: the header must
+    be present with distinct, non-blank names (stripped), blank lines are
+    skipped, and every row must have one cell per name; the file must be
+    UTF-8 text (a BOM is dropped) within csv.field_size_limit(). A row's
+    number in the errors is its 0-based index among the data rows.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -168,20 +171,32 @@ def load_csv(path) -> RawTable:
             if len(set(header)) != len(header):
                 dupes = sorted({h for h in header if header.count(h) > 1})
                 raise ValidationError(f"{path}: duplicate header names {dupes}")
-            rows = []
+            yield tuple(header)
+            n = 0
             for row in reader:
                 if not row:  # blank line
                     continue
                 if len(row) != len(header):
                     raise ValidationError(
-                        f"{path}: row {len(rows)} has {len(row)} cells, header has {len(header)}"
+                        f"{path}: row {n} has {len(row)} cells, header has {len(header)}"
                     )
-                rows.append(tuple(row))
+                yield row
+                n += 1
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    return RawTable(tuple(header), tuple(rows))
+
+
+def load_csv(path) -> RawTable:
+    """Read a CSV file with a mandatory header row.
+
+    Text columns are preserved verbatim so identifier columns survive the
+    round trip; numeric interpretation happens later in validate_axes.
+    """
+    rows = _checked_rows(path)
+    header = next(rows)
+    return RawTable(header, tuple(map(tuple, rows)))
 
 
 def distinct_names(names: Sequence[str], what: str) -> tuple[str, ...]:

@@ -8,7 +8,9 @@ undefined and serializes as an empty CSV field, never 0.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -16,9 +18,13 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .point_cloud import RawTable, _parse_cell, _parse_column, distinct_names, write_csv
+from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
+from .point_cloud import distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
+# Rows a merged-CSV reader parses at a time; each chunk's text is dropped
+# once its ball ids and columns are parsed.
+_CHUNK_ROWS = 4096
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -121,21 +127,77 @@ def _is_int64(cell: str) -> bool:
         return False
 
 
+def _ball_ids(cells: Sequence[str], first_row: int = 0) -> np.ndarray:
+    """The cells as int64 ball ids; refuses the first that is not one, by its merged row."""
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except (ValueError, OverflowError):
+        i = next(i for i, cell in enumerate(cells) if not _is_int64(cell))
+        raise ValidationError(f"bad ball id {cells[i]!r} at merged row {first_row + i}") from None
+
+
+def _groups(balls: np.ndarray) -> dict[int, np.ndarray]:
+    """Row indices per ball id, each group in file order."""
+    order = np.argsort(balls, kind="stable")
+    ids, starts = np.unique(balls[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
 def ball_groups_from_merged(raw: RawTable) -> dict[int, np.ndarray]:
     """Recover ball membership (row indices per ball id, in file order) from a merged CSV."""
     if "ball" not in raw.column_names:
         raise ValidationError("merged table has no 'ball' column")
     if not raw.rows:
         raise ValidationError("merged table has no rows")
-    cells = list(map(itemgetter(raw.column_index("ball")), raw.rows))
-    try:
-        balls = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
-    except (ValueError, OverflowError):
-        i = next(i for i, cell in enumerate(cells) if not _is_int64(cell))
-        raise ValidationError(f"bad ball id {cells[i]!r} at merged row {i}") from None
-    order = np.argsort(balls, kind="stable")  # each group keeps file order
-    ids, starts = np.unique(balls[order], return_index=True)
-    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+    return _groups(_ball_ids(list(map(itemgetter(raw.column_index("ball")), raw.rows))))
+
+
+def _read_merged(
+    path, names: Sequence[str]
+) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]]:
+    """The ball groups and the named columns, as float64, of a merged CSV file.
+
+    The rows are read _CHUNK_ROWS at a time, and each chunk is parsed into
+    int64 ball ids and float64 columns before the next is read, so only
+    those arrays outlive its text. The result and every refusal are those of
+    ball_groups_from_merged and _held_column on load_csv's table, where every
+    row is held, except that the header's checks (a 'ball' column, each name
+    a column) come before any row is read. The first bad ball id and each
+    column's first refused cell are kept and raised once all rows are read.
+    """
+    with closing(_checked_rows(path)) as rows:  # closes the file on an early refusal
+        header = next(rows)
+        if "ball" not in header:
+            raise ValidationError("merged table has no 'ball' column")
+        ball_j = header.index("ball")
+        cols = [_column_position(header, name) for name in names]
+        ids: list[np.ndarray] = []
+        values: list[list[np.ndarray]] = [[] for _ in cols]
+        bad_id = None  # the refusal of the first bad ball id
+        bad_cells: list = [None] * len(cols)  # (cell, row) of each column's first refused cell
+        n = 0
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            try:
+                ids.append(_ball_ids(list(map(itemgetter(ball_j), chunk)), n))
+            except ValidationError as exc:
+                bad_id = bad_id or exc
+            for k, j in enumerate(cols):
+                values[k].append(_parse_column(chunk, j))
+                bad = np.flatnonzero(~np.isfinite(values[k][-1]))
+                if len(bad) and bad_cells[k] is None:
+                    bad_cells[k] = (chunk[bad[0]][j], n + int(bad[0]))
+            n += len(chunk)
+            del chunk  # so that two chunks of text are never held at once
+    if not n:
+        raise ValidationError("merged table has no rows")
+    if bad_id is not None:
+        raise bad_id
+    for name, bad in zip(names, bad_cells):
+        if bad is not None:
+            _parse_cell(*bad, name)  # raises: the cell is refused
+    return _groups(np.concatenate(ids)), {
+        name: np.concatenate(chunks) for name, chunks in zip(names, values)
+    }
 
 
 def _held_column(raw: RawTable, name: str, groups: Mapping[int, Sequence[int]]) -> np.ndarray:
@@ -154,34 +216,40 @@ def _held_column(raw: RawTable, name: str, groups: Mapping[int, Sequence[int]]) 
     return col
 
 
-def means_over_groups(
-    raw: RawTable, groups: Mapping[int, Sequence[int]], variables: Sequence[str]
-) -> BallMeansTable:
+def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    """The variables of a means table; refuses none, a repeat, and 'ball' or 'size'."""
     variables = distinct_names(variables, "variable")
     for v in variables:
         if v in ("ball", "size"):
             raise ValidationError(f"variable {v!r} would clash with the table's {v!r} column")
-    cols = [_held_column(raw, v, groups) for v in variables]
+    return variables
+
+
+def _means(groups: Mapping[int, Sequence[int]], cols: Mapping[str, np.ndarray]) -> BallMeansTable:
+    # One gather per ball over a V x N block. Each row of the gather is
+    # contiguous, so its .mean() sums pairwise exactly as the member column
+    # alone would; .mean(axis=1) would sum sequentially and differ.
+    variables = tuple(cols)
+    block = np.stack(list(cols.values()))
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
         for ball in sorted(groups):
             idx = np.asarray(groups[ball], dtype=np.intp)
             means = tuple(
-                _finite(float(c[idx].mean()), "mean", v, ball) for c, v in zip(cols, variables)
+                _finite(float(c.mean()), "mean", v, ball) for c, v in zip(block[:, idx], variables)
             )
             rows.append(BallMeansRow(ball=ball, means=means, size=len(idx)))
     return BallMeansTable(variables, tuple(rows))
 
 
-def distribution_over_groups(
-    raw: RawTable, groups: Mapping[int, Sequence[int]], variable: str
+def _distribution(
+    groups: Mapping[int, Sequence[int]], col: np.ndarray, variable: str
 ) -> BallDistributionTable:
-    col = _held_column(raw, variable, groups)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
         for ball in sorted(groups):
-            # mean/sd are taken in member order so they match means_over_groups
-            # bit for bit; sorting is only for the order statistics
+            # mean/sd are taken in member order so they match _means bit for
+            # bit; sorting is only for the order statistics
             member_vals = col[np.asarray(groups[ball], dtype=np.intp)]
             vals = np.sort(member_vals)
             n = len(vals)
@@ -200,6 +268,30 @@ def distribution_over_groups(
                 )
             )
     return BallDistributionTable(variable, tuple(rows))
+
+
+def means_over_groups(
+    raw: RawTable, groups: Mapping[int, Sequence[int]], variables: Sequence[str]
+) -> BallMeansTable:
+    variables = _mean_variables(variables)
+    return _means(groups, {v: _held_column(raw, v, groups) for v in variables})
+
+
+def distribution_over_groups(
+    raw: RawTable, groups: Mapping[int, Sequence[int]], variable: str
+) -> BallDistributionTable:
+    return _distribution(groups, _held_column(raw, variable, groups), variable)
+
+
+def means_from_merged(path, variables: Sequence[str]) -> BallMeansTable:
+    """ball-summary's table: per-ball means of the variables in a merged CSV file."""
+    return _means(*_read_merged(path, _mean_variables(variables)))
+
+
+def distribution_from_merged(path, variable: str) -> BallDistributionTable:
+    """variable-summary's table: the per-ball distribution of one variable in a merged CSV file."""
+    groups, cols = _read_merged(path, (variable,))
+    return _distribution(groups, cols[variable], variable)
 
 
 def ball_summary(

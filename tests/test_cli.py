@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
+import itertools
 import os
 import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -12,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
+from ballmapper import summary
 from ballmapper.cli import _write_merged_csv, main
+from ballmapper.errors import ValidationError
 from ballmapper.point_cloud import write_cells
 
 
@@ -470,3 +476,230 @@ def test_failed_write_names_target_and_keeps_earlier_outputs(argv, target, auto_
     assert str(tmp_path / target) in child.stderr
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert list(tmp_path.glob(".*.tmp")) == []
+
+
+# ------------------------------------------ summaries streamed from the merged CSV
+
+def _cli_summaries(merged, out, variables):
+    """Each summary command's output bytes through cli.main, or its stderr on a refusal."""
+    out.mkdir()
+    commands = [(["ball-summary", "--merged", merged, "--variables", ",".join(variables),
+                  "-o", out / "means.csv"], [out / "means.csv"])]
+    for j, v in enumerate(variables + ("ball",)):
+        dist, box = out / f"dist{j}.csv", out / f"box{j}.svg"
+        commands.append((["variable-summary", "--merged", merged, "--variable", v,
+                          "-o", dist, "--boxplot", box], [dist, box]))
+    results = []
+    for argv, outputs in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        results.append(err.getvalue() if code else tuple(p.read_bytes() for p in outputs))
+    return results
+
+
+def _library_summaries(merged, out, variables):
+    """The same outputs through load_csv's RawTable and the library's summaries:
+    the reference the streamed commands must match byte for byte, refusals too."""
+    out.mkdir()
+
+    def means():
+        raw = bm.load_csv(merged)
+        table = summary.means_over_groups(raw, summary.ball_groups_from_merged(raw), variables)
+        table.write(out / "means.csv")
+        return ((out / "means.csv").read_bytes(),)
+
+    def distribution(v):
+        raw = bm.load_csv(merged)
+        table = summary.distribution_over_groups(raw, summary.ball_groups_from_merged(raw), v)
+        table.write(out / "dist.csv")
+        return (out / "dist.csv").read_bytes(), bm.render_boxplot_svg(
+            table.rows, title=v).encode()
+
+    results = []
+    for run in [means] + [lambda v=v: distribution(v) for v in variables + ("ball",)]:
+        try:
+            results.append(run())
+        except ValidationError as exc:
+            results.append(f"error: {exc}\n")
+    return results
+
+
+NUMBER_CELL = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.floats(-1e6, 1e6).map(lambda x: f" {x!r} "),
+)
+BAD_NUMBER_CELL = st.sampled_from(["", " ", "x", "nan", "-inf", "1e999"])
+BALL_CELL = st.tuples(st.integers(1, 6), st.sampled_from(["{}", " {} ", "+{}", "0{}"])).map(
+    lambda t: t[1].format(t[0]))
+BAD_BALL_CELL = st.sampled_from(["x", "1.0", "", "9223372036854775808"])
+
+
+@st.composite
+def merged_files(draw, faults=True, repeat_to=None):
+    """A merged CSV's bytes and its numeric columns' names.
+
+    The ball column and one to three numeric columns sit among one to three
+    text columns whose cells csv must quote; the file may start with a BOM,
+    end its lines with CRLF and hold blank lines. With faults, a file may
+    also hold cells the summaries refuse. With repeat_to, the drawn rows are
+    repeated until there are that many.
+    """
+    numeric = tuple(f"v{j}" for j in range(draw(st.integers(1, 3))))
+    header = draw(st.permutations(
+        ("ball",) + numeric + tuple(f"t{j}" for j in range(draw(st.integers(1, 3))))))
+    cells = {"ball": BALL_CELL, **{name: NUMBER_CELL for name in numeric}}
+    if faults and draw(st.booleans()):
+        for name in draw(st.sets(st.sampled_from(sorted(cells)), min_size=1)):
+            cells[name] = st.one_of(cells[name], BAD_BALL_CELL if name == "ball" else
+                                    BAD_NUMBER_CELL)
+    rows = draw(st.lists(st.tuples(*[cells.get(name, CSV_TEXT) for name in header]),
+                         min_size=1, max_size=30))
+    if repeat_to is not None:
+        rows = (rows * repeat_to)[:repeat_to]
+    blank = draw(st.sets(st.integers(0, len(rows))))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=terminator)
+    writer.writerow(header)
+    for i, row in enumerate(rows):
+        if i in blank:
+            text.write(terminator)
+        writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text.getvalue()).encode(), numeric
+
+
+@given(merged_files(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_streamed_summaries_match_raw_table_path(tmp_path_factory, merged, chunk_rows):
+    data, numeric = merged
+    tmp = tmp_path_factory.mktemp("streamed")
+    (tmp / "m.csv").write_bytes(data)
+    want = _library_summaries(str(tmp / "m.csv"), tmp / "library", numeric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(summary, "_CHUNK_ROWS", chunk_rows)
+        assert _cli_summaries(str(tmp / "m.csv"), tmp / "cli", numeric) == want
+
+
+@given(merged_files(faults=False, repeat_to=2 * summary._CHUNK_ROWS + 7))
+@settings(max_examples=5, deadline=None)
+def test_streamed_summaries_match_raw_table_path_over_real_chunks(tmp_path_factory, merged):
+    data, numeric = merged
+    tmp = tmp_path_factory.mktemp("streamed")
+    (tmp / "m.csv").write_bytes(data)
+    want = _library_summaries(str(tmp / "m.csv"), tmp / "library", numeric)
+    assert _cli_summaries(str(tmp / "m.csv"), tmp / "cli", numeric) == want
+
+
+def _merged_lines(n):
+    """Lines of a valid merged CSV with n rows: ball, two numeric columns and a text one."""
+    return ["ball,a,b,name"] + [f"{i % 50 + 1},{i / 7!r},{-i},row {i}" for i in range(n)]
+
+
+FAULT_ROW = summary._CHUNK_ROWS + 404  # a data row past the first chunk
+SINGLE_FAULTS = {  # name: (the line that replaces data row FAULT_ROW, the refusal)
+    "short_row": ("1,2", "{path}: row {row} has 2 cells, header has 4"),
+    "not_utf8": (b"1,2,3,\xff", "{path}: not UTF-8 text"),
+    "oversize_field": ("1,2,3," + "x" * 131073,
+                       "{path}: line {line}: field larger than field limit (131072)"),
+    "bad_ball_id": ("x,2,3,t", "bad ball id 'x' at merged row {row}"),
+    "blank_held_cell": ("1, ,3,t", "missing value in column 'a' at row {row}"),
+    "non_numeric_held_cell": ("1,foo,3,t", "non-numeric cell 'foo' in column 'a' at row {row}"),
+}
+
+
+@pytest.mark.parametrize("line, message", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS.keys())
+@pytest.mark.parametrize("command", ["ball-summary", "variable-summary"])
+def test_single_fault_past_first_chunk_refused_like_raw_table_path(line, message, command,
+                                                                   tmp_path, capsys):
+    lines = [s.encode() for s in _merged_lines(2 * summary._CHUNK_ROWS)]
+    lines[1 + FAULT_ROW] = line if isinstance(line, bytes) else line.encode()
+    merged = tmp_path / "m.csv"
+    merged.write_bytes(b"\n".join(lines) + b"\n")
+    message = message.format(path=merged, row=FAULT_ROW, line=FAULT_ROW + 2)
+    argv = (["ball-summary", "--variables", "a,b"] if command == "ball-summary"
+            else ["variable-summary", "--variable", "a"])
+    assert run_cli(argv + ["--merged", merged, "-o", tmp_path / "o.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _library_summaries(str(merged), tmp_path / "library", ("a",))[:2] == [
+        f"error: {message}\n"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["library", "m.csv"]
+
+
+ROWS = 2 * summary._CHUNK_ROWS + 1
+HEADER_FAULTS = {  # name: (argv after the command, the header line, data rows, the refusal)
+    "unknown_variable": (["ball-summary", "--variables", "a,zz"], "ball,a,b,name", ROWS,
+                         "unknown column 'zz'"),
+    "unknown_variable_dist": (["variable-summary", "--variable", "zz"], "ball,a,b,name", ROWS,
+                              "unknown column 'zz'"),
+    "no_ball_column": (["ball-summary", "--variables", "a"], "x,a,b,name", ROWS,
+                       "merged table has no 'ball' column"),
+    "no_ball_column_dist": (["variable-summary", "--variable", "a"], "x,a,b,name", ROWS,
+                            "merged table has no 'ball' column"),
+    "size_clash": (["ball-summary", "--variables", "a,size"], "ball,a,b,size", ROWS,
+                   "variable 'size' would clash with the table's 'size' column"),
+    "ball_clash": (["ball-summary", "--variables", "ball"], "ball,a,b,name", ROWS,
+                   "variable 'ball' would clash with the table's 'ball' column"),
+    "repeated_variable": (["ball-summary", "--variables", "a,b,a"], "ball,a,b,name", ROWS,
+                          "variable 'a' is given more than once"),
+    "no_rows": (["ball-summary", "--variables", "a"], "ball,a,b,name", 0,
+                "merged table has no rows"),
+    "no_rows_dist": (["variable-summary", "--variable", "a"], "ball,a,b,name", 0,
+                     "merged table has no rows"),
+}
+
+
+@pytest.mark.parametrize("argv, header, n, message", HEADER_FAULTS.values(),
+                         ids=HEADER_FAULTS.keys())
+def test_header_fault_refused_like_raw_table_path(argv, header, n, message, tmp_path, capsys):
+    merged = tmp_path / "m.csv"
+    merged.write_text("\n".join([header] + _merged_lines(n)[1:]) + "\n")
+    assert run_cli(argv + ["--merged", merged, "-o", tmp_path / "o.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    raw = bm.load_csv(merged)
+    with pytest.raises(ValidationError) as exc:
+        groups = summary.ball_groups_from_merged(raw)
+        if argv[0] == "ball-summary":
+            summary.means_over_groups(raw, groups, argv[2].split(","))
+        else:
+            summary.distribution_over_groups(raw, groups, argv[2])
+    assert str(exc.value) == message
+
+
+def test_header_checks_come_before_rows(tmp_path, capsys):
+    # two faults: the RawTable path meets the short row first, the streamed
+    # summaries refuse the unknown variable before reading any row
+    lines = _merged_lines(10)
+    lines[5] = "1,2"
+    merged = tmp_path / "m.csv"
+    merged.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="row 4 has 2 cells"):
+        bm.load_csv(merged)
+    assert run_cli(["ball-summary", "--merged", merged, "--variables", "zz",
+                    "-o", tmp_path / "o.csv"]) == 1
+    assert capsys.readouterr().err == "error: unknown column 'zz'\n"
+
+
+def test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path):
+    n = 20_000
+    merged = tmp_path / "m.csv"
+    rows = [(i % 300 + 1, repr(i / 7), repr(-i / 3), repr(i * 0.1), repr(i / 9), f"row {i}")
+            for i in range(n)]
+    write_cells(merged, ("ball", "a", "b", "x", "y", "name"), rows)
+    with open(merged, newline="") as f:
+        chunk = list(itertools.islice(csv.reader(f), 1, 1 + summary._CHUNK_ROWS))
+    chunk_bytes = sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in chunk)
+    float_bytes = n * 3 * 8  # the ball ids and the two summarised columns
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["ball-summary", "--merged", merged, "--variables", "a,b",
+                            "-o", tmp_path / "o.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's text as load_csv holds it is about five chunks; the bound
+    # leaves room for the ids, the columns and their copies, but for one chunk only
+    assert peak < 8 * float_bytes + 1.5 * chunk_bytes

@@ -168,6 +168,24 @@ class TestBallSummary:
             summarise(bm.build_cover(cloud, 0.5), raw)
         assert str(exc.value) == "non-numeric cell 'foo' in column 'v' at row 2"
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 4),
+           st.sampled_from([1e-300, 1.0, np.pi, 1e300]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_gather_per_ball_matches_per_variable_loop(self, seed, n, v, scale):
+        rng = np.random.default_rng(seed)
+        variables = tuple(f"v{j}" for j in range(v))
+        cols = {name: rng.normal(size=n) * scale for name in variables}
+        groups = {}
+        for ball in rng.permutation(20)[: int(rng.integers(1, 21))].tolist():
+            size = int(rng.integers(1, n + 1))
+            groups[ball] = np.sort(rng.choice(n, size=size, replace=False))
+        table = summary._means(groups, cols)
+        # the loop the means were taken with before: one gather per variable
+        want = [tuple(float(cols[name][groups[b]].mean()) for name in variables)
+                for b in sorted(groups)]
+        got = [row.means for row in table.rows]
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
         table = bm.ball_summary(auto_cover, auto_raw, ("price",))
         assert [r.size for r in table.rows] == bm.ball_sizes(auto_cover)
