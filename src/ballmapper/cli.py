@@ -13,19 +13,17 @@ and a failed write names its target.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import os
 import secrets
 import sys
-from types import SimpleNamespace
 
 from . import datagen, layout, render, summary
 from .cover import build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
 from .point_cloud import RawTable, format_value, load_csv, standardize, validate_axes
-from .point_cloud import write_cells, write_point_cloud_csv
+from .point_cloud import csv_lines, write_cells, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -57,13 +55,9 @@ def _write_results_csv(path, graph, positions):
 def _write_merged_csv(path, raw: RawTable, cover):
     # Each input row is rendered once, after an empty field, so its text starts
     # with the delimiter; each membership writes its ball id before that text.
-    # csv.writer hands write() one whole row, a quoted newline included.
-    tails: list[str] = []
-    csv.writer(SimpleNamespace(write=tails.append), lineterminator="\n").writerows(
-        ("",) + row for row in raw.rows
-    )
+    tails = list(csv_lines(("",) + row for row in raw.rows))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f, lineterminator="\n").writerow(("ball",) + raw.column_names)
+        f.writelines(csv_lines([("ball",) + raw.column_names]))
         for ball, member_rows in enumerate(cover.members, start=1):
             f.write("".join([f"{ball}{tails[r]}" for r in member_rows]))
 

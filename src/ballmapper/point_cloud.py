@@ -9,12 +9,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import contains, itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+
+_CSV_BATCH = 4096  # rows csv_lines renders at a time
 
 
 def format_value(x) -> str:
@@ -27,6 +31,15 @@ def format_value(x) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+def format_column(values: Sequence[float]) -> list[str]:
+    """format_value's text for each float of a column, its rule tested on the whole column."""
+    v = np.asarray(values, dtype=float)
+    integral = np.isfinite(v) & (np.trunc(v) == v) & (np.abs(v) < 1e16)
+    ints = np.where(integral, v, 0.0).astype(np.int64).tolist()
+    return [str(i) if whole else repr(x)
+            for x, i, whole in zip(v.tolist(), ints, integral.tolist())]
 
 
 def _parse_cell(cell: str, row: int, column: str) -> float:
@@ -297,6 +310,28 @@ def write_csv(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> No
     write_cells(path, column_names, ([format_value(c) for c in row] for row in rows))
 
 
+def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
+    """Each row as one CSV line ending in LF, rendered _CSV_BATCH rows at a time.
+
+    csv quotes a cell that holds a character of its line terminator, and on
+    some Pythons no other line break, so with LF alone a cell holding a lone
+    CR would be written bare and read back as two rows. A batch whose lines
+    hold a CR is rendered again with CRLF, which csv renders more slowly,
+    and each line's CRLF is cut to LF: that quotes the cell and changes no
+    other byte. csv.writer hands write() one whole row, quoted newlines
+    included.
+    """
+    rows = iter(rows)
+    while batch := list(islice(rows, _CSV_BATCH)):
+        lines: list[str] = []
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(batch)
+        if any(map(contains, lines, repeat("\r"))):
+            lines.clear()
+            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(batch)
+            lines = [line[:-2] + "\n" for line in lines]
+        yield from lines
+
+
 def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write CSV with LF line endings, each cell a string or a Python int.
 
@@ -304,9 +339,7 @@ def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> 
     per cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(list(column_names))
-        writer.writerows(rows)
+        f.writelines(csv_lines(chain([list(column_names)], rows)))
 
 
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:

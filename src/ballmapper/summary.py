@@ -7,24 +7,30 @@ undefined and serializes as an empty CSV field, never 0.
 """
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
-from .point_cloud import distinct_names, write_csv
+from .point_cloud import distinct_names, format_column, write_cells
 
 _INTEGRAL_TOL = 1e-9
-# Rows a merged-CSV reader parses at a time; each chunk's text is dropped
-# once its ball ids and columns are parsed.
+# Rows the streamed merged-CSV reader parses at a time; each chunk's text is
+# dropped once its ball ids and columns are parsed.
 _CHUNK_ROWS = 4096
+# Bytes the plain-file reader checks at a time, and the bytes a plain file
+# may hold: printable ASCII but the quote, and LF.
+_BLOCK_BYTES = 1 << 18
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -40,16 +46,32 @@ def quantile(values: Sequence[float], p: float) -> float:
         raise ValueError("quantile of empty input")
     if not 0 < p < 100:
         raise ValueError("p must lie strictly between 0 and 100")
+    i, j = _order_statistics(n, p)
+    if i == j:
+        return float(values[i])
+    a, b = float(values[i]), float(values[j])
+    mid = (a + b) / 2.0
+    # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0
+    return a / 2.0 + b / 2.0 if math.isinf(mid) else mid
+
+
+def _order_statistics(n: int, p: float) -> tuple[int, int]:
+    """The 0-based positions of the two order statistics quantile averages (equal if one)."""
     h = n * p / 100.0
     rounded = round(h)
     if abs(h - rounded) < _INTEGRAL_TOL and rounded >= 1:
-        if rounded >= n:
-            return float(values[-1])
-        a, b = float(values[rounded - 1]), float(values[rounded])
-        mid = (a + b) / 2.0
-        # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0
-        return a / 2.0 + b / 2.0 if math.isinf(mid) else mid
-    return float(values[math.ceil(h) - 1])
+        return (n - 1, n - 1) if rounded >= n else (rounded - 1, rounded)
+    return math.ceil(h) - 1, math.ceil(h) - 1
+
+
+def _quantiles(rows: np.ndarray, p: float) -> np.ndarray:
+    """quantile of each row of a (balls x size) array of ascending rows."""
+    i, j = _order_statistics(rows.shape[1], p)
+    if i == j:
+        return rows[:, i]
+    a, b = rows[:, i], rows[:, j]
+    mid = (a + b) / 2.0
+    return np.where(np.isinf(mid), a / 2.0 + b / 2.0, mid)
 
 
 @dataclass(frozen=True)
@@ -68,7 +90,9 @@ class BallMeansTable:
 
     def write(self, path) -> None:
         header = ("ball",) + self.variables + ("size",)
-        write_csv(path, header, [(r.ball, *r.means, r.size) for r in self.rows])
+        means = [format_column(c) for c in zip(*(r.means for r in self.rows))]
+        write_cells(path, header, zip([r.ball for r in self.rows], *means,
+                                      [r.size for r in self.rows]))
 
 
 @dataclass(frozen=True)
@@ -93,31 +117,16 @@ class BallDistributionTable:
 
     def write(self, path) -> None:
         header = ("ball", "mean", "sd", "min", "q25", "q50", "q75", "max", "size")
-        write_csv(
-            path,
-            header,
-            [
-                (
-                    r.ball,
-                    r.mean,
-                    "" if r.sd is None else r.sd,
-                    r.min,
-                    r.q25,
-                    r.q50,
-                    r.q75,
-                    r.max,
-                    r.size,
-                )
-                for r in self.rows
-            ],
-        )
+        rows = self.rows
+        stats = [[getattr(r, name) for r in rows] for name in header[1:-1]]
+        text = [format_column([math.nan if v is None else v for v in col]) for col in stats]
+        text[1] = ["" if sd is None else t for sd, t in zip(stats[1], text[1])]
+        write_cells(path, header, zip([r.ball for r in rows], *text, [r.size for r in rows]))
 
 
-def _finite(value: float, stat: str, variable: str, ball: int) -> float:
-    """The value, unless a float64 overflow made it inf or nan."""
-    if not math.isfinite(value):
-        raise ValidationError(f"the {stat} of {variable!r} in ball {ball} overflows float64")
-    return value
+def _overflow(stat: str, variable: str, ball: int) -> ValidationError:
+    """The refusal of a statistic that a float64 overflow made inf or nan."""
+    return ValidationError(f"the {stat} of {variable!r} in ball {ball} overflows float64")
 
 
 def _is_int64(cell: str) -> bool:
@@ -152,7 +161,91 @@ def ball_groups_from_merged(raw: RawTable) -> dict[int, np.ndarray]:
     return _groups(_ball_ids(list(map(itemgetter(raw.column_index("ball")), raw.rows))))
 
 
+class _NotPlain(Exception):
+    """A merged file holds a line the plain-file reader does not read."""
+
+
+def _plain_blocks(f, limit: int) -> Iterator[list[str]]:
+    """The lines of the rest of binary file f, read _BLOCK_BYTES at a time.
+
+    Yields each block's whole lines once the block is checked; raises
+    _NotPlain at the first block that holds a byte outside _PLAIN_BYTES or a
+    line longer than limit.
+    """
+    rest = b""
+    while block := f.read(_BLOCK_BYTES):
+        data = rest + block
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if len(rest) > limit:
+            raise _NotPlain
+        yield _plain_block(data[:cut], limit)
+    if rest:  # the last line has no newline
+        yield _plain_block(rest + b"\n", limit)
+
+
+def _plain_block(data: bytes, limit: int) -> list[str]:
+    """The lines of data, whole lines each ending in LF, if it is plain (see _plain_blocks)."""
+    if data.translate(None, _PLAIN_BYTES):
+        raise _NotPlain
+    lines = data.decode("ascii").split("\n")[:-1]
+    if max(map(len, lines), default=0) > limit:
+        raise _NotPlain
+    return lines
+
+
+def _read_plain(
+    path, names: Sequence[str]
+) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]] | None:
+    """_read_streamed's result by numpy's C reader, or None where it declines.
+
+    It reads only a plain file: printable ASCII but '"', lines ending in LF,
+    no line longer than csv.field_size_limit(), a header that passes every
+    header check, and one cell per header name on each non-blank line, which
+    numpy checks (a column no field needs is read into a one-byte string).
+    There csv.reader's row is the line split at its commas, so numpy's reader
+    gets the very cells. It declines any other file, 'ball' among the names,
+    and any file where numpy raises or warns or a parsed value is not finite:
+    the streamed reader then reads the file and makes any refusal. numpy's
+    int64 and float64 parses agree with int() and float() on every cell they
+    accept.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as f:
+        line = f.readline(limit + 1)
+        if not line.endswith(b"\n") or line.translate(None, _PLAIN_BYTES):
+            return None
+        header = [h.strip() for h in line[:-1].decode("ascii").split(",")]
+        if (not all(header) or len(set(header)) != len(header) or "ball" not in header
+                or "ball" in names or not set(names) <= set(header)):
+            return None
+        fields = {"ball": np.int64, **{name: np.float64 for name in names}}
+        dtype = np.dtype([(h, fields.get(h, "S1")) for h in header])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(chain.from_iterable(_plain_blocks(f, limit)), dtype=dtype,
+                                   delimiter=",", comments=None, ndmin=1)
+        except (_NotPlain, ValueError, OverflowError, Warning):
+            return None
+    cols = {name: table[name] for name in names}
+    if not all(np.isfinite(col).all() for col in cols.values()):
+        return None
+    return _groups(table["ball"]), cols
+
+
 def _read_merged(
+    path, names: Sequence[str]
+) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]]:
+    """The ball groups and the named columns, as float64, of a merged CSV file.
+
+    A plain file is read by numpy's C reader (_read_plain), any other by the
+    streamed reader; the result and every refusal are the streamed reader's.
+    """
+    return _read_plain(path, names) or _read_streamed(path, names)
+
+
+def _read_streamed(
     path, names: Sequence[str]
 ) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]]:
     """The ball groups and the named columns, as float64, of a merged CSV file.
@@ -225,49 +318,69 @@ def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
+def _by_size(groups: Mapping[int, Sequence[int]]):
+    """The ball ids ascending, their sizes, and per distinct size the positions
+    of its balls among those ids with their members as a (balls x size) array."""
+    balls = sorted(groups)
+    sizes = np.array([len(groups[b]) for b in balls], dtype=np.intp)
+    by_size = []
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        by_size.append((at, np.array([groups[balls[i]] for i in at.tolist()], dtype=np.intp)))
+    return balls, sizes, by_size
+
+
 def _means(groups: Mapping[int, Sequence[int]], cols: Mapping[str, np.ndarray]) -> BallMeansTable:
-    # One gather per ball over a V x N block. Each row of the gather is
-    # contiguous, so its .mean() sums pairwise exactly as the member column
-    # alone would; .mean(axis=1) would sum sequentially and differ.
+    # One gather per ball size and variable. col[members] is C-contiguous, so
+    # .mean(axis=1) sums each row pairwise exactly as .mean() sums the ball's
+    # member column alone; a gather that is not C-contiguous, such as
+    # block[:, idx] of a V x N block, would be summed in another order.
     variables = tuple(cols)
-    block = np.stack(list(cols.values()))
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
-        for ball in sorted(groups):
-            idx = np.asarray(groups[ball], dtype=np.intp)
-            means = tuple(
-                _finite(float(c.mean()), "mean", v, ball) for c, v in zip(block[:, idx], variables)
-            )
-            rows.append(BallMeansRow(ball=ball, means=means, size=len(idx)))
-    return BallMeansTable(variables, tuple(rows))
+    balls, sizes, by_size = _by_size(groups)
+    means = np.empty((len(variables), len(balls)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for at, members in by_size:
+            for k, col in enumerate(cols.values()):
+                means[k, at] = col[members].mean(axis=1)
+    bad = ~np.isfinite(means)
+    if bad.any():  # the first ball in ball order, then its first variable
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        k = int(np.flatnonzero(bad[:, i])[0])
+        raise _overflow("mean", variables[k], balls[i])
+    return BallMeansTable(variables, tuple(
+        BallMeansRow(ball=b, means=tuple(m), size=n)
+        for b, m, n in zip(balls, means.T.tolist(), sizes.tolist())
+    ))
 
 
 def _distribution(
     groups: Mapping[int, Sequence[int]], col: np.ndarray, variable: str
 ) -> BallDistributionTable:
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _finite
-        for ball in sorted(groups):
-            # mean/sd are taken in member order so they match _means bit for
-            # bit; sorting is only for the order statistics
-            member_vals = col[np.asarray(groups[ball], dtype=np.intp)]
-            vals = np.sort(member_vals)
-            n = len(vals)
-            rows.append(
-                BallDistributionRow(
-                    ball=ball,
-                    mean=_finite(float(member_vals.mean()), "mean", variable, ball),
-                    sd=_finite(float(member_vals.std(ddof=1)), "sd", variable, ball)
-                    if n > 1 else None,
-                    min=float(vals[0]),
-                    q25=quantile(vals, 25),
-                    q50=quantile(vals, 50),
-                    q75=quantile(vals, 75),
-                    max=float(vals[-1]),
-                    size=n,
-                )
-            )
-    return BallDistributionTable(variable, tuple(rows))
+    # mean and sd are taken over each gather in member order, so they match
+    # _means bit for bit; sorting is only for the order statistics
+    balls, sizes, by_size = _by_size(groups)
+    stats = np.empty((7, len(balls)))  # mean, sd, min, q25, q50, q75, max
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for at, members in by_size:
+            values = col[members]
+            stats[0, at] = values.mean(axis=1)
+            stats[1, at] = values.std(axis=1, ddof=1) if values.shape[1] > 1 else 0.0
+            values.sort(axis=1)
+            stats[2, at] = values[:, 0]
+            for row, p in ((3, 25), (4, 50), (5, 75)):
+                stats[row, at] = _quantiles(values, p)
+            stats[6, at] = values[:, -1]
+    held_sd = sizes > 1
+    bad_mean, bad_sd = ~np.isfinite(stats[0]), ~np.isfinite(stats[1]) & held_sd
+    if (bad_mean | bad_sd).any():  # the first ball in ball order, its mean before its sd
+        i = int(np.flatnonzero(bad_mean | bad_sd)[0])
+        raise _overflow("mean" if bad_mean[i] else "sd", variable, balls[i])
+    return BallDistributionTable(variable, tuple(
+        BallDistributionRow(ball=b, mean=mean, sd=sd if held else None, min=lo, q25=q25,
+                            q50=q50, q75=q75, max=hi, size=n)
+        for b, (mean, sd, lo, q25, q50, q75, hi), held, n
+        in zip(balls, stats.T.tolist(), held_sd.tolist(), sizes.tolist())
+    ))
 
 
 def means_over_groups(

@@ -703,3 +703,92 @@ def test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path):
     # the file's text as load_csv holds it is about five chunks; the bound
     # leaves room for the ids, the columns and their copies, but for one chunk only
     assert peak < 8 * float_bytes + 1.5 * chunk_bytes
+
+
+# ------------------------------------------ plain merged files read by numpy's parser
+
+PLAIN_TEXT = st.text("ab #-.1", max_size=4)  # text cells that keep a file plain
+MERGED_FAULTS = {  # name: the text of a cell put into a merged file, or None for a line
+    "quote": ['"1.5"', '"a,b"'], "lone_cr": ["1\r5"], "nul": ["1\x005"], "non_ascii": ["é"],
+    "hash": ["#1", "1#"], "underscore": ["1_000"], "nan": ["nan"], "inf": ["inf", "-inf"],
+    "overflow": ["1e999"], "empty": ["", " "], "ball_float": ["1.0"], "ball_plus": ["+7"],
+    "ball_spaces": [" 7 "], "ball_past_int64": ["9223372036854775808"],
+}
+LINE_FAULTS = ["crlf", "bom", "not_utf8", "blank_line", "whitespace_line", "short_row",
+               "long_row", "over_limit", "no_rows"]
+
+
+@st.composite
+def plain_merged_files(draw):
+    """A merged CSV's bytes, its numeric columns' names, a csv field size limit
+    and the name of its one fault or feature that is not plain (None if none)."""
+    numeric = tuple(f"v{j}" for j in range(draw(st.integers(1, 3))))
+    header = draw(st.permutations(
+        ("ball",) + numeric + tuple(f"t{j}" for j in range(draw(st.integers(0, 2))))))
+    cells = {"ball": st.integers(1, 6).map(str), **{name: NUMBER_CELL for name in numeric}}
+    rows = draw(st.lists(st.tuples(*[cells.get(h, PLAIN_TEXT) for h in header]).map(list),
+                         min_size=1, max_size=30))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    limit = csv.field_size_limit()
+    i = draw(st.integers(1, len(rows)))  # the data line a fault goes to
+    fault = draw(st.sampled_from([None, *MERGED_FAULTS, *LINE_FAULTS]))
+    if fault in MERGED_FAULTS:
+        column = "ball" if fault.startswith("ball") else draw(st.sampled_from(header))
+        rows[i - 1][header.index(column)] = draw(st.sampled_from(MERGED_FAULTS[fault]))
+        lines[i] = ",".join(rows[i - 1])
+    elif fault in ("blank_line", "whitespace_line"):
+        lines.insert(i, "" if fault == "blank_line" else "  ")
+    elif fault in ("short_row", "long_row"):
+        lines[i] = lines[i].rsplit(",", 1)[0] if fault == "short_row" else lines[i] + ",1"
+    elif fault == "over_limit":
+        limit = max(1, max(map(len, lines)) - draw(st.integers(1, 8)))
+    elif fault == "no_rows":
+        lines = lines[:1]
+    text = ("\r\n" if fault == "crlf" else "\n").join(lines) + "\n"
+    data = (text if fault != "bom" else "﻿" + text).encode()
+    if fault == "not_utf8":
+        data = data.replace(b"\n", b"\xff\n", 2)
+    return data, numeric, limit, fault
+
+
+@given(plain_merged_files())
+@settings(max_examples=150, deadline=None)
+def test_summaries_of_plain_files_match_the_streamed_reader(tmp_path_factory, merged):
+    data, numeric, limit, fault = merged
+    tmp = tmp_path_factory.mktemp("plain")
+    (tmp / "m.csv").write_bytes(data)
+    read_plain, taken = summary._read_plain, []
+
+    def counted(path, names):
+        result = read_plain(path, names)
+        taken.append(result is not None)
+        return result
+
+    old_limit = csv.field_size_limit(limit)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(summary, "_read_plain", counted)
+            got = _cli_summaries(str(tmp / "m.csv"), tmp / "either", numeric)
+        # every command but variable-summary of 'ball' takes a fault-free file's fast path
+        assert fault is not None or taken == [True] * (len(numeric) + 1) + [False]
+        with pytest.MonkeyPatch.context() as mp:  # the streamed reader alone
+            mp.setattr(summary, "_read_plain", lambda path, names: None)
+            assert _cli_summaries(str(tmp / "m.csv"), tmp / "streamed", numeric) == got
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def test_lone_carriage_return_round_trips_through_both_summaries(tmp_path, capsys):
+    inp, merged = tmp_path / "in.csv", tmp_path / "m.csv"
+    inp.write_bytes(b'x,"t\ru"\n1,"a\rb"\n2,c\n')
+    assert run_cli(["run", "-i", inp, "--axes", "x", "-e", "0.5", "--svg", tmp_path / "g.svg",
+                    "--results", tmp_path / "r.csv", "--merged", merged]) == 0
+    assert merged.read_bytes() == b'ball,x,"t\ru"\n1,1,"a\rb"\n2,2,c\n'
+    assert run_cli(["ball-summary", "--merged", merged, "--variables", "x",
+                    "-o", tmp_path / "means.csv"]) == 0
+    assert run_cli(["variable-summary", "--merged", merged, "--variable", "x",
+                    "-o", tmp_path / "x.csv", "--boxplot", tmp_path / "x.svg"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "means.csv").read_text() == "ball,x,size\n1,1,1\n2,2,1\n"
+    assert (tmp_path / "x.csv").read_text().splitlines()[1:] == ["1,1,,1,1,1,1,1,1",
+                                                                  "2,2,,2,2,2,2,2,1"]

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.point_cloud import _parse_cell, format_value
+from ballmapper import point_cloud
+from ballmapper.point_cloud import _parse_cell, csv_lines, format_column, format_value
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -399,3 +402,31 @@ class TestCsvRoundTrip:
         assert format_value(0.1) == "0.1"
         assert format_value(5725.25) == "5725.25"
         assert format_value("make") == "make"
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, -1e16, 9999999999999998.0,
+                                                        1e16 - 2, 2.0 ** 63, 0.5])),
+                max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_format_column_is_format_value_per_cell(values):
+    assert format_column(values) == [format_value(v) for v in values]
+
+
+# cells that csv must quote, a lone carriage return among them
+WRITER_CELL = st.lists(st.sampled_from(["a", ",", '"', "\n", "\r\n", "\r", " ", "é", ""]),
+                       max_size=4).map("".join)
+
+
+@given(st.lists(st.lists(WRITER_CELL, min_size=1, max_size=4), max_size=8), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_csv_lines_read_back_and_differ_only_by_quoting_lone_cr(rows, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(point_cloud, "_CSV_BATCH", batch)
+        got = list(csv_lines(rows))
+    assert len(got) == len(rows)
+    assert all(line.endswith("\n") and not line.endswith("\r\n") for line in got)
+    assert list(csv.reader(io.StringIO("".join(got)))) == rows
+    plain = io.StringIO()
+    csv.writer(plain, lineterminator="\n").writerows(rows)
+    if not any("\r" in cell for row in rows for cell in row):
+        assert "".join(got) == plain.getvalue()

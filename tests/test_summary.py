@@ -1,9 +1,12 @@
+import csv
+import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
@@ -60,6 +63,18 @@ class TestQuantile:
         else:
             assert struct.pack("<d", q) == struct.pack("<d", averaged)
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=12),
+           st.integers(1, 5), st.sampled_from([10, 20, 25, 40, 50, 60, 75, 80, 90]))
+    @example([1.7e308, 1.7e308], 1, 50)
+    @example([-1.7e308, -1.7e308, 5.0, 1.0], 2, 25)
+    @settings(max_examples=300, deadline=None)
+    def test_row_quantiles_are_quantile_per_row(self, values, balls, p):
+        rows = np.sort(np.array([values[i:] + values[:i] for i in range(balls)]), axis=1)
+        with np.errstate(over="ignore"):  # a midpoint that overflows is halved first
+            got = summary._quantiles(rows, p)
+        want = [bm.quantile(row, p) for row in rows.tolist()]
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
     def test_empty_and_bad_p(self):
         with pytest.raises(ValueError):
             bm.quantile([], 50)
@@ -85,6 +100,23 @@ class TestQuantile:
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, values, p):
         assert bm.quantile(sorted(values), p) == oracle_quantile(values, p)
+
+
+# ball sizes on both sides of numpy's pairwise-summation blocks (8 and 128)
+PAIRWISE_SIZES = [1, 2, 7, 8, 9, 128, 129, 300]
+
+
+def _random_groups(rng, n, sizes):
+    """Up to 20 balls of random sizes over n rows, plus one ball of each given
+    size; returns the groups and the number of rows they index."""
+    rows = max([n, *sizes])
+    groups = {}
+    for ball in rng.permutation(20)[: int(rng.integers(1, 21))].tolist():
+        size = int(rng.integers(1, n + 1))
+        groups[ball] = np.sort(rng.choice(n, size=size, replace=False))
+    for ball, size in enumerate(sizes, start=20):
+        groups[ball] = np.sort(rng.choice(rows, size=size, replace=False))
+    return groups, rows
 
 
 class TestBallSummary:
@@ -169,22 +201,67 @@ class TestBallSummary:
         assert str(exc.value) == "non-numeric cell 'foo' in column 'v' at row 2"
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 4),
-           st.sampled_from([1e-300, 1.0, np.pi, 1e300]))
+           st.sampled_from([1e-300, 1.0, np.pi, 1e300]),
+           st.lists(st.sampled_from(PAIRWISE_SIZES), max_size=8))
+    @example(0, 1, 2, np.pi, PAIRWISE_SIZES)
     @settings(max_examples=100, deadline=None)
-    def test_one_gather_per_ball_matches_per_variable_loop(self, seed, n, v, scale):
+    def test_one_gather_per_ball_matches_per_variable_loop(self, seed, n, v, scale, sizes):
         rng = np.random.default_rng(seed)
         variables = tuple(f"v{j}" for j in range(v))
-        cols = {name: rng.normal(size=n) * scale for name in variables}
-        groups = {}
-        for ball in rng.permutation(20)[: int(rng.integers(1, 21))].tolist():
-            size = int(rng.integers(1, n + 1))
-            groups[ball] = np.sort(rng.choice(n, size=size, replace=False))
+        groups, rows = _random_groups(rng, n, sizes)
+        cols = {name: rng.normal(size=rows) * scale for name in variables}
         table = summary._means(groups, cols)
         # the loop the means were taken with before: one gather per variable
         want = [tuple(float(cols[name][groups[b]].mean()) for name in variables)
                 for b in sorted(groups)]
         got = [row.means for row in table.rows]
         assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert [row.size for row in table.rows] == [len(groups[b]) for b in sorted(groups)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from([1e-300, 1.0, np.pi, 1e150]),  # squares of 1e300 overflow the sd
+           st.lists(st.sampled_from(PAIRWISE_SIZES), max_size=8))
+    @example(0, 1, np.pi, PAIRWISE_SIZES)
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_per_size_matches_per_ball_loop(self, seed, n, scale, sizes):
+        rng = np.random.default_rng(seed)
+        groups, rows = _random_groups(rng, n, sizes)
+        col = rng.normal(size=rows) * scale
+        got = summary._distribution(groups, col, "v").rows
+        for row, ball in zip(got, sorted(groups), strict=True):
+            # the per-ball loop the table was built with before
+            member_vals = col[groups[ball]]
+            vals = np.sort(member_vals)
+            want = (ball, float(member_vals.mean()),
+                    float(member_vals.std(ddof=1)) if len(vals) > 1 else None,
+                    float(vals[0]), *(summary.quantile(vals, p) for p in (25, 50, 75)),
+                    float(vals[-1]), len(vals))
+            have = (row.ball, row.mean, row.sd, row.min, row.q25, row.q50, row.q75, row.max,
+                    row.size)
+            assert [struct.pack("<d", x) if isinstance(x, float) else x for x in have] == [
+                struct.pack("<d", x) if isinstance(x, float) else x for x in want]
+
+    @pytest.mark.parametrize("cells, summarise, message", [
+        ((("1.7e308", "1.7e308"),) * 5,
+         lambda raw, groups: summary.means_over_groups(raw, groups, ("a", "b")),
+         "the mean of 'a' in ball 2 overflows float64"),
+        ((("0", "1.7e308"),) * 5,
+         lambda raw, groups: summary.means_over_groups(raw, groups, ("a", "b")),
+         "the mean of 'b' in ball 2 overflows float64"),
+        ((("1.7e308", "0"),) * 5,
+         lambda raw, groups: summary.distribution_over_groups(raw, groups, "a"),
+         "the mean of 'a' in ball 2 overflows float64"),
+        ((("1.7e308", "0"),) * 2 + (("1e200", "0"), ("-1e200", "0"), ("0", "0")),
+         lambda raw, groups: summary.distribution_over_groups(raw, groups, "a"),
+         "the sd of 'a' in ball 2 overflows float64"),
+    ], ids=["means", "means_second_variable", "distribution_mean", "distribution_sd"])
+    def test_first_overflow_in_ball_order_across_sizes(self, cells, summarise, message):
+        # ball 7 (two members) is reduced before ball 2 (three members), as
+        # sizes are taken in ascending order; the lower ball id is named
+        raw = bm.RawTable(("a", "b"), cells)
+        with pytest.raises(ValidationError) as exc:
+            summarise(raw, {7: [0, 1], 2: [2, 3, 4]})
+        assert str(exc.value) == message
 
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
         table = bm.ball_summary(auto_cover, auto_raw, ("price",))
@@ -264,3 +341,163 @@ class TestVariableSummary:
         total = sum(len(balls) for balls in matrix.values())
         assert total == sum(bm.ball_sizes(auto_cover)) == 101
         assert auto_cover.n_points == 74
+
+
+# ------------------------------------------ the plain-file reader (numpy's C parser)
+
+GAUSS5_NAMES = ("x1", "x2", "x3", "x4", "x5", "c")
+INJECT_AT = 2500  # a data row in the second block of the file below
+
+
+def _gauss5_lines(n=3000):
+    """The lines of a merged CSV shaped as the gauss5_cover workload's: ball,
+    x1..x5 and c, floats in repr, balls ascending, and the empty string after
+    the last newline; n = 3000 rows span two blocks."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, 5))
+    rows = np.column_stack([x, (x ** 2).sum(axis=1)]).tolist()
+    balls = np.sort(rng.integers(1, 300, size=n)).tolist()
+    return ["ball," + ",".join(GAUSS5_NAMES)] + [
+        ",".join([str(b)] + [repr(v) for v in row]) for b, row in zip(balls, rows)] + [""]
+
+
+def _with_cell(cell, j=6):
+    """A change to the lines: data row INJECT_AT's cell j replaced."""
+    def change(lines):
+        cells = lines[1 + INJECT_AT].split(",")
+        cells[j] = cell
+        lines[1 + INJECT_AT] = ",".join(cells)
+    return change
+
+
+def _with_line(line):
+    """A change to the lines: one more line before data row INJECT_AT."""
+    return lambda lines: lines.insert(1 + INJECT_AT, line)
+
+
+DECLINED = {  # name: a change to the lines that the plain reader declines
+    "quote": _with_cell('"1.5"'),
+    "lone_cr": _with_cell("1.5\r"),
+    "crlf": lambda lines: lines.__setitem__(1 + INJECT_AT, lines[1 + INJECT_AT] + "\r"),
+    "bom": lambda lines: lines.__setitem__(0, "﻿" + lines[0]),
+    "nul": _with_cell("1\x005"),
+    "non_ascii": _with_cell("1.5é"),
+    "hash": _with_cell("#1.5"),
+    "underscore": _with_cell("1_000"),
+    "whitespace_line": _with_line("   "),
+    "short_row": lambda lines: lines.__setitem__(
+        1 + INJECT_AT, lines[1 + INJECT_AT].rsplit(",", 1)[0]),
+    "long_row": lambda lines: lines.__setitem__(1 + INJECT_AT, lines[1 + INJECT_AT] + ",1"),
+    "over_limit": _with_cell("1." + "0" * 248),  # within the lowered limit, but not its line
+    "nan": _with_cell("nan"),
+    "inf": _with_cell("-inf"),
+    "overflow": _with_cell("1e999"),
+    "empty_cell": _with_cell(""),
+    "ball_float": _with_cell("1.0", j=0),
+    "ball_past_int64": _with_cell("9223372036854775808", j=0),
+    "no_rows": lambda lines: lines.__delitem__(slice(1, -1)),
+}
+READ = {  # name: a change to the lines that leaves the file plain
+    "none": lambda lines: None,
+    "blank_line": _with_line(""),
+    "ball_plus": _with_cell("+7", j=0),
+    "ball_spaces": _with_cell(" 7 ", j=0),
+    "no_final_newline": lambda lines: lines.pop(),
+}
+
+
+def _merged_file(tmp_path, change):
+    lines = _gauss5_lines()
+    change(lines)
+    path = tmp_path / "m.csv"
+    path.write_bytes("\n".join(lines).encode())
+    return path
+
+
+@pytest.fixture
+def field_limit_300():
+    old = csv.field_size_limit(300)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("change", READ.values(), ids=READ.keys())
+def test_plain_reader_reads_gauss5_shaped_file_as_streamed(change, tmp_path, field_limit_300):
+    path = _merged_file(tmp_path, change)
+    for names in (GAUSS5_NAMES, ("c",)):
+        got, want = summary._read_plain(path, names), summary._read_streamed(path, names)
+        assert got is not None
+        assert list(got[0]) == list(want[0])
+        assert all(got[0][b].tolist() == want[0][b].tolist() for b in want[0])
+        assert all(got[1][n].tobytes() == want[1][n].tobytes() for n in names)
+
+
+@pytest.mark.parametrize("change", DECLINED.values(), ids=DECLINED.keys())
+def test_plain_reader_declines_each_feature(change, tmp_path, field_limit_300):
+    path = _merged_file(tmp_path, change)
+    assert summary._read_plain(path, GAUSS5_NAMES) is None
+
+
+def test_plain_reader_declines_ball_as_variable(tmp_path):
+    assert summary._read_plain(_merged_file(tmp_path, READ["none"]), ("ball",)) is None
+
+
+@pytest.mark.parametrize("header", [
+    "ball,x1,x2,x1", "ball,x1,x2, ", "ball,x1,x2,", "ball,x1,x2,x1 ", "bal,x1,x2,c",
+    'ball,x1,x2,"c"', "ball,x1,x2,c\r", "ball,x1,x2,cé",
+], ids=["duplicate", "blank", "empty", "duplicate_after_strip", "no_ball", "quoted",
+        "cr", "non_ascii"])
+def test_plain_reader_declines_each_header_fault(header, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(header + "\n1,2,3,4\n")
+    assert summary._read_plain(path, ("x2",)) is None
+
+
+def test_plain_reader_stops_reading_at_a_line_over_the_limit():
+    f = io.BytesIO(b"1,2\n" + b"9" * (10 * summary._BLOCK_BYTES) + b"\n")
+    with pytest.raises(summary._NotPlain):
+        list(summary._plain_blocks(f, 1000))
+    assert f.tell() == summary._BLOCK_BYTES  # the long line is not read to its end
+
+
+# decimal text as a merged CSV holds it: repr of a float, or digits, point and exponent
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+DECIMAL = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.builds(lambda pad, sign, whole, frac, exp: f"{pad}{sign}{whole}{frac}{exp}{pad}",
+              st.sampled_from(["", " "]), st.sampled_from(["", "+", "-"]), DIGITS,
+              st.one_of(st.just(""), st.just("."), DIGITS.map(".".__add__)),
+              st.one_of(st.just(""), st.builds("e{}{}".format, st.sampled_from(["", "+", "-"]),
+                                               st.integers(0, 400)))),
+)
+
+
+def _numpy_cells(cells, dtype):
+    """numpy's parse of one-cell lines, as the plain reader calls it; None if it
+    raises or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(cells, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+
+
+@given(st.lists(DECIMAL, min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_numpy_float_parse_is_float_bit_for_bit(cells):
+    got = _numpy_cells(cells, np.float64)
+    assert got is not None
+    want = np.array([float(c) for c in cells])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@given(st.text("0123456789+-._ eExi#", min_size=1, max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_numpy_accepts_only_what_int_and_float_accept(cell):
+    got = _numpy_cells([cell], np.float64)
+    if got is not None and np.isfinite(got[0]):
+        assert struct.pack("<d", got[0]) == struct.pack("<d", float(cell))
+    got = _numpy_cells([cell], np.int64)
+    if got is not None:
+        assert int(got[0]) == int(cell)
