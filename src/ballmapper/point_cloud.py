@@ -9,8 +9,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import contains, itemgetter
+from itertools import chain, islice
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -31,15 +31,6 @@ def format_value(x) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
-
-
-def format_column(values: Sequence[float]) -> list[str]:
-    """format_value's text for each float of a column, its rule tested on the whole column."""
-    v = np.asarray(values, dtype=float)
-    integral = np.isfinite(v) & (np.trunc(v) == v) & (np.abs(v) < 1e16)
-    ints = np.where(integral, v, 0.0).astype(np.int64).tolist()
-    return [str(i) if whole else repr(x)
-            for x, i, whole in zip(v.tolist(), ints, integral.tolist())]
 
 
 def _parse_cell(cell: str, row: int, column: str) -> float:
@@ -315,21 +306,16 @@ def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
 
     csv quotes a cell that holds a character of its line terminator, and on
     some Pythons no other line break, so with LF alone a cell holding a lone
-    CR would be written bare and read back as two rows. A batch whose lines
-    hold a CR is rendered again with CRLF, which csv renders more slowly,
-    and each line's CRLF is cut to LF: that quotes the cell and changes no
-    other byte. csv.writer hands write() one whole row, quoted newlines
-    included.
+    CR would be written bare and read back as two rows. The rows are rendered
+    with CRLF and each line's CRLF is cut to LF: that quotes such a cell and
+    changes no other byte. csv.writer hands write() one whole row, quoted
+    newlines included.
     """
     rows = iter(rows)
     while batch := list(islice(rows, _CSV_BATCH)):
         lines: list[str] = []
-        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(batch)
-        if any(map(contains, lines, repeat("\r"))):
-            lines.clear()
-            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(batch)
-            lines = [line[:-2] + "\n" for line in lines]
-        yield from lines
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(batch)
+        yield from [line[:-2] + "\n" for line in lines]
 
 
 def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:

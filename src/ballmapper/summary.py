@@ -12,6 +12,7 @@ import math
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from .cover import BallCover
 from .errors import ValidationError
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
-from .point_cloud import distinct_names, format_column, write_cells
+from .point_cloud import distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
 # Rows the streamed merged-CSV reader parses at a time; each chunk's text is
@@ -90,9 +91,7 @@ class BallMeansTable:
 
     def write(self, path) -> None:
         header = ("ball",) + self.variables + ("size",)
-        means = [format_column(c) for c in zip(*(r.means for r in self.rows))]
-        write_cells(path, header, zip([r.ball for r in self.rows], *means,
-                                      [r.size for r in self.rows]))
+        write_csv(path, header, [(r.ball, *r.means, r.size) for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,24 @@ class BallDistributionTable:
 
     def write(self, path) -> None:
         header = ("ball", "mean", "sd", "min", "q25", "q50", "q75", "max", "size")
-        rows = self.rows
-        stats = [[getattr(r, name) for r in rows] for name in header[1:-1]]
-        text = [format_column([math.nan if v is None else v for v in col]) for col in stats]
-        text[1] = ["" if sd is None else t for sd, t in zip(stats[1], text[1])]
-        write_cells(path, header, zip([r.ball for r in rows], *text, [r.size for r in rows]))
+        write_csv(
+            path,
+            header,
+            [
+                (
+                    r.ball,
+                    r.mean,
+                    "" if r.sd is None else r.sd,
+                    r.min,
+                    r.q25,
+                    r.q50,
+                    r.q75,
+                    r.max,
+                    r.size,
+                )
+                for r in self.rows
+            ],
+        )
 
 
 def _overflow(stat: str, variable: str, ball: int) -> ValidationError:
@@ -165,12 +177,17 @@ class _NotPlain(Exception):
     """A merged file holds a line the plain-file reader does not read."""
 
 
-def _plain_blocks(f, limit: int) -> Iterator[list[str]]:
-    """The lines of the rest of binary file f, read _BLOCK_BYTES at a time.
+def _plain_bytes(f) -> bool:
+    """Whether binary file f holds no byte outside _PLAIN_BYTES, read _BLOCK_BYTES at a time."""
+    return not any(block.translate(None, _PLAIN_BYTES)
+                   for block in iter(partial(f.read, _BLOCK_BYTES), b""))
 
-    Yields each block's whole lines once the block is checked; raises
-    _NotPlain at the first block that holds a byte outside _PLAIN_BYTES or a
-    line longer than limit.
+
+def _plain_lines(f, limit: int) -> Iterator[list[str]]:
+    """The lines of the rest of binary file f, whose bytes are plain, _BLOCK_BYTES at a time.
+
+    Yields each block's whole lines, without their LF; raises _NotPlain at
+    the first block that holds a line longer than limit.
     """
     rest = b""
     while block := f.read(_BLOCK_BYTES):
@@ -179,15 +196,13 @@ def _plain_blocks(f, limit: int) -> Iterator[list[str]]:
         rest = data[cut:]
         if len(rest) > limit:
             raise _NotPlain
-        yield _plain_block(data[:cut], limit)
+        yield _short_lines(data[:cut], limit)
     if rest:  # the last line has no newline
-        yield _plain_block(rest + b"\n", limit)
+        yield _short_lines(rest + b"\n", limit)
 
 
-def _plain_block(data: bytes, limit: int) -> list[str]:
-    """The lines of data, whole lines each ending in LF, if it is plain (see _plain_blocks)."""
-    if data.translate(None, _PLAIN_BYTES):
-        raise _NotPlain
+def _short_lines(data: bytes, limit: int) -> list[str]:
+    """The lines of data, whole lines each ending in LF, if none is longer than limit."""
     lines = data.decode("ascii").split("\n")[:-1]
     if max(map(len, lines), default=0) > limit:
         raise _NotPlain
@@ -208,12 +223,16 @@ def _read_plain(
     and any file where numpy raises or warns or a parsed value is not finite:
     the streamed reader then reads the file and makes any refusal. numpy's
     int64 and float64 parses agree with int() and float() on every cell they
-    accept.
+    accept. Every byte is checked before numpy parses a line, so a file with
+    a quoted or non-ASCII cell anywhere is parsed once, by the streamed reader.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as f:
+        if not _plain_bytes(f):
+            return None
+        f.seek(0)
         line = f.readline(limit + 1)
-        if not line.endswith(b"\n") or line.translate(None, _PLAIN_BYTES):
+        if not line.endswith(b"\n"):
             return None
         header = [h.strip() for h in line[:-1].decode("ascii").split(",")]
         if (not all(header) or len(set(header)) != len(header) or "ball" not in header
@@ -224,7 +243,7 @@ def _read_plain(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                table = np.loadtxt(chain.from_iterable(_plain_blocks(f, limit)), dtype=dtype,
+                table = np.loadtxt(chain.from_iterable(_plain_lines(f, limit)), dtype=dtype,
                                    delimiter=",", comments=None, ndmin=1)
         except (_NotPlain, ValueError, OverflowError, Warning):
             return None

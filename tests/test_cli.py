@@ -705,6 +705,16 @@ def test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path):
     assert peak < 8 * float_bytes + 1.5 * chunk_bytes
 
 
+def test_streamed_reader_holds_floats_and_one_chunk_not_the_text(tmp_path, monkeypatch):
+    # the file above is plain, so numpy's parser reads it; here the streamed
+    # reader, the only one for quoted, CRLF or BOM files, is held to the same bound
+    read, calls = summary._read_streamed, []
+    monkeypatch.setattr(summary, "_read_plain", lambda path, names: None)
+    monkeypatch.setattr(summary, "_read_streamed", lambda *args: calls.append(args) or read(*args))
+    test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path)
+    assert len(calls) == 1
+
+
 # ------------------------------------------ plain merged files read by numpy's parser
 
 PLAIN_TEXT = st.text("ab #-.1", max_size=4)  # text cells that keep a file plain

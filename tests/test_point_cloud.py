@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper import point_cloud
-from ballmapper.point_cloud import _parse_cell, csv_lines, format_column, format_value
+from ballmapper.point_cloud import _parse_cell, csv_lines, format_value
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -402,14 +402,6 @@ class TestCsvRoundTrip:
         assert format_value(0.1) == "0.1"
         assert format_value(5725.25) == "5725.25"
         assert format_value("make") == "make"
-
-
-@given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, -1e16, 9999999999999998.0,
-                                                        1e16 - 2, 2.0 ** 63, 0.5])),
-                max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_format_column_is_format_value_per_cell(values):
-    assert format_column(values) == [format_value(v) for v in values]
 
 
 # cells that csv must quote, a lone carriage return among them

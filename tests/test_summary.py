@@ -453,10 +453,22 @@ def test_plain_reader_declines_each_header_fault(header, tmp_path):
     assert summary._read_plain(path, ("x2",)) is None
 
 
+@pytest.mark.parametrize("name", ["quote", "lone_cr", "crlf", "nul", "non_ascii"])
+def test_plain_reader_declines_a_late_byte_before_numpy_parses(name, tmp_path, monkeypatch):
+    # the byte sits in the file's second block, so such a file is parsed only once
+    path = _merged_file(tmp_path, DECLINED[name])
+    assert len("\n".join(_gauss5_lines()[:1 + INJECT_AT])) > summary._BLOCK_BYTES
+
+    def parse(*args, **kwargs):
+        raise AssertionError("numpy parsed a file that is not plain")
+    monkeypatch.setattr(np, "loadtxt", parse)
+    assert summary._read_plain(path, GAUSS5_NAMES) is None
+
+
 def test_plain_reader_stops_reading_at_a_line_over_the_limit():
     f = io.BytesIO(b"1,2\n" + b"9" * (10 * summary._BLOCK_BYTES) + b"\n")
     with pytest.raises(summary._NotPlain):
-        list(summary._plain_blocks(f, 1000))
+        list(summary._plain_lines(f, 1000))
     assert f.tell() == summary._BLOCK_BYTES  # the long line is not read to its end
 
 
