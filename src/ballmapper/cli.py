@@ -22,8 +22,8 @@ from . import datagen, layout, render, summary
 from .cover import build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
-from .point_cloud import RawTable, format_value, load_csv, standardize, validate_axes
-from .point_cloud import csv_lines, write_cells, write_point_cloud_csv
+from .point_cloud import RawTable, format_floats, load_csv, standardize, validate_axes
+from .point_cloud import csv_lines, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -32,24 +32,23 @@ RESULTS_HEADER = (
 
 
 def _write_results_csv(path, graph, positions):
-    xy = {b: (format_value(x), format_value(y)) for b, (x, y) in positions.items()}
-    rows = []
-    for n in graph.nodes:
-        x, y = xy[n.ball]
-        rows.append((
-            "node", n.ball, x, y, n.size,
-            "" if n.color_mean is None else format_value(n.color_mean),
-            "" if n.color_bin is None else n.color_bin,
-            "", "", "", "", "",
-        ))
-    for e in graph.edges:
-        x1, y1 = xy[e.source]
-        x2, y2 = xy[e.target]
-        rows.append((
-            "edge", "", x1, y1, "", "", "",
-            e.source, e.target, x2, y2, e.shared,
-        ))
-    write_cells(path, RESULTS_HEADER, rows)
+    # Every cell is a fixed word, an int or format_floats text, none of which
+    # csv would quote, so each row is written as one line; each ball's x,y
+    # text is made once.
+    xs = format_floats([x for x, _ in positions.values()])
+    ys = format_floats([y for _, y in positions.values()])
+    xy = {b: f"{x},{y}" for b, x, y in zip(positions, xs, ys)}
+    means = iter(format_floats([n.color_mean for n in graph.nodes if n.color_mean is not None]))
+    lines = [",".join(RESULTS_HEADER) + "\n"]
+    lines += [
+        f"node,{n.ball},{xy[n.ball]},{n.size},{'' if n.color_mean is None else next(means)},"
+        f"{'' if n.color_bin is None else n.color_bin},,,,,\n"
+        for n in graph.nodes
+    ]
+    lines += [f"edge,,{xy[e.source]},,,,{e.source},{e.target},{xy[e.target]},{e.shared}\n"
+              for e in graph.edges]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.writelines(lines)
 
 
 def _write_merged_csv(path, raw: RawTable, cover):
@@ -59,7 +58,8 @@ def _write_merged_csv(path, raw: RawTable, cover):
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(csv_lines([("ball",) + raw.column_names]))
         for ball, member_rows in enumerate(cover.members, start=1):
-            f.write("".join([f"{ball}{tails[r]}" for r in member_rows]))
+            prefix = str(ball)
+            f.write(prefix + prefix.join(map(tails.__getitem__, member_rows)))
 
 
 def _write_all_or_none(writers) -> None:

@@ -5,7 +5,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,17 +102,34 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
         pos = np.searchsorted(cover.row_ids, rows)  # row ids ascend, as in the cloud
+        groups = dict(enumerate(np.split(pos, np.cumsum(sizes)[:-1]), start=1))
+        out = np.empty(n_balls)
         # A mean that overflows is left as inf or nan for assign_bins to refuse.
-        # Each mean is .mean() over its members in member order: np.add.reduceat
+        # Each gather vals[members] is C-contiguous, so .mean(axis=1) sums each
+        # row pairwise as .mean() sums the ball's members alone; np.add.reduceat
         # sums in another order and changes the last bits.
         with np.errstate(over="ignore", invalid="ignore"):
-            means = [float(vals[idx].mean()) for idx in np.split(pos, np.cumsum(sizes)[:-1])]
+            for at, members in _by_size(groups)[2]:
+                out[at] = vals[members].mean(axis=1)
+        means = out.tolist()
 
     nodes = tuple(
         GraphNode(ball=b, size=len(m), color_mean=means[b - 1])
         for b, m in enumerate(cover.members, start=1)
     )
     return MapperGraph(nodes, _overlap_edges(rows, sizes))
+
+
+def _by_size(groups: Mapping[int, Sequence[int]]):
+    """The ball ids ascending, their sizes, and per distinct size the positions
+    of its balls among those ids with their members as a (balls x size) array."""
+    balls = sorted(groups)
+    sizes = np.array([len(groups[b]) for b in balls], dtype=np.intp)
+    by_size = []
+    for size in sorted(set(sizes.tolist())):  # np.unique(sizes) would import numpy.ma
+        at = np.flatnonzero(sizes == size)
+        by_size.append((at, np.array([groups[balls[i]] for i in at.tolist()], dtype=np.intp)))
+    return balls, sizes, by_size
 
 
 def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]:

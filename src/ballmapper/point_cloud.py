@@ -27,10 +27,22 @@ def format_value(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return format_floats([x])[0]
+
+
+def format_floats(values) -> list[str]:
+    """The CSV text of each value in a 1-D column of floats.
+
+    A value that is integral and below 1e16 in magnitude is written as an int
+    (1.0 as "1", -0.0 as "0"); any other, NaN and infinities too, by its
+    shortest round-trip repr. The rule is tested once over the column, then
+    each cell costs one str or repr call.
+    """
+    v = np.asarray(values, dtype=float)
+    integral = (np.abs(v) < 1e16) & (np.trunc(v) == v)  # False for NaN and infinities
+    ints = np.where(integral, v, 0.0).astype(np.int64).tolist()
+    return [str(i) if whole else repr(x)
+            for i, x, whole in zip(ints, v.tolist(), integral.tolist())]
 
 
 def _parse_cell(cell: str, row: int, column: str) -> float:
@@ -297,36 +309,64 @@ def correlation_matrix(cloud: PointCloud) -> np.ndarray:
 
 
 def write_csv(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write CSV with LF line endings and round-trip float formatting."""
-    write_cells(path, column_names, ([format_value(c) for c in row] for row in rows))
+    """Write CSV with LF line endings, each cell as format_value writes it.
+
+    The float cells of all rows are formatted by one format_floats call.
+    """
+    rows = [tuple(row) for row in rows]
+    floats = iter(format_floats([c for row in rows for c in row if isinstance(c, float)]))
+    write_cells(path, column_names, (
+        [next(floats) if isinstance(c, float) else format_value(c) for c in row] for row in rows
+    ))
 
 
 def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
     """Each row as one CSV line ending in LF, rendered _CSV_BATCH rows at a time.
 
-    csv quotes a cell that holds a character of its line terminator, and on
-    some Pythons no other line break, so with LF alone a cell holding a lone
-    CR would be written bare and read back as two rows. The rows are rendered
-    with CRLF and each line's CRLF is cut to LF: that quotes such a cell and
-    changes no other byte. csv.writer hands write() one whole row, quoted
-    newlines included.
+    csv.writer's minimal quoting leaves a cell bare unless it holds the
+    delimiter, the quote or a line break, and writes a row that is one empty
+    cell as "". So a batch whose rows all have two or more str cells, none
+    holding ',', '"', CR, LF or NUL, is written by joining its cells with ','
+    and its rows with LF, which gives csv.writer's very bytes. The joined text
+    shows it: no '"', CR or NUL, one LF fewer than the batch has rows, and
+    one comma fewer per row than the row has cells.
+
+    Any other batch, such as one holding an int cell, a row of fewer than two
+    cells or a cell that needs quotes, is rendered by csv.writer with CRLF,
+    and each line's CRLF is cut to LF. csv quotes a cell that holds a
+    character of its line terminator, and on some Pythons no other line
+    break, so with LF alone a cell holding a lone CR would be written bare
+    and read back as two rows. csv.writer hands write() one whole row, quoted
+    newlines included. NUL is left to csv.writer, which refuses it on 3.10.
     """
     rows = iter(rows)
     while batch := list(islice(rows, _CSV_BATCH)):
-        lines: list[str] = []
-        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(batch)
-        yield from [line[:-2] + "\n" for line in lines]
+        try:
+            text = "\n".join(map(",".join, batch)) if min(map(len, batch)) > 1 else None
+        except TypeError:  # a cell that is not a str, or a row without a length
+            text = None
+        if (text is not None and '"' not in text and "\r" not in text and "\0" not in text
+                and text.count("\n") == len(batch) - 1
+                and text.count(",") == sum(map(len, batch)) - len(batch)):
+            yield from [line + "\n" for line in text.split("\n")]
+        else:
+            lines: list[str] = []
+            csv.writer(SimpleNamespace(write=lines.append),
+                       lineterminator="\r\n").writerows(batch)
+            yield from [line[:-2] + "\n" for line in lines]
 
 
 def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write CSV with LF line endings, each cell a string or a Python int.
 
     Those cells are written as format_value would write them, without a call
-    per cell.
+    per cell. Rows go through csv_lines, so a batch of rows of two or more
+    plain str cells is joined, and a batch holding an int cell, a one-cell
+    row or a cell that needs quotes is rendered by csv.writer.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(csv_lines(chain([list(column_names)], rows)))
 
 
 def write_point_cloud_csv(cloud: PointCloud, path) -> None:
-    write_csv(path, cloud.column_names, cloud.values)
+    write_cells(path, cloud.column_names, zip(*map(format_floats, cloud.values.T)))

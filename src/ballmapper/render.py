@@ -73,36 +73,36 @@ def render_graph_svg(
         x, y = xy
         return margin + x * plot_w, margin + (1.0 - y) * plot_h
 
+    # each ball's pixel position, formatted once for its edges, disc and label
+    px = {ball: tuple(map(_num, to_px(xy))) for ball, xy in positions.items()}
     max_size = max(n.size for n in graph.nodes)
     parts = [SVG_OPEN, BACKGROUND_RECT]
+    line_tail = f' stroke="{EDGE_COLOR}" stroke-width="{_num(EDGE_WIDTH)}"/>'
     for e in graph.edges:
-        x1, y1 = to_px(positions[e.source])
-        x2, y2 = to_px(positions[e.target])
-        parts.append(
-            f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
-            f'stroke="{EDGE_COLOR}" stroke-width="{_num(EDGE_WIDTH)}"/>'
-        )
+        x1, y1 = px[e.source]
+        x2, y2 = px[e.target]
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"{line_tail}')
 
     radii = {}
     for n in graph.nodes:
-        cx, cy = to_px(positions[n.ball])
+        cx, cy = px[n.ball]
         r = _disc_radius(n.size, max_size)
-        radii[n.ball] = (cx, cy, r)
+        radii[n.ball] = r
         if scale is not None and n.color_bin is not None:
             fill = scale.color_for_bin(n.color_bin)
         else:
             fill = FALLBACK_FILL
         parts.append(
-            f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="{_num(r)}" fill="{fill}" '
+            f'<circle cx="{cx}" cy="{cy}" r="{_num(r)}" fill="{fill}" '
             f'stroke="{NODE_STROKE}" stroke-width="1"/>'
         )
 
     if options.show_labels:
         for n in graph.nodes:
-            cx, cy, r = radii[n.ball]
-            font = max(8.0, 0.9 * r)
+            cx, cy = px[n.ball]
+            font = max(8.0, 0.9 * radii[n.ball])
             parts.append(
-                f'<text x="{_num(cx)}" y="{_num(cy)}" font-size="{_num(font)}" '
+                f'<text x="{cx}" y="{cy}" font-size="{_num(font)}" '
                 f'font-family="sans-serif" text-anchor="middle" '
                 f'dominant-baseline="central">{n.ball}</text>'
             )

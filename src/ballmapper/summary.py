@@ -21,6 +21,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
+from .graph import _by_size
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
 from .point_cloud import distinct_names, write_csv
 
@@ -335,18 +336,6 @@ def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
         if v in ("ball", "size"):
             raise ValidationError(f"variable {v!r} would clash with the table's {v!r} column")
     return variables
-
-
-def _by_size(groups: Mapping[int, Sequence[int]]):
-    """The ball ids ascending, their sizes, and per distinct size the positions
-    of its balls among those ids with their members as a (balls x size) array."""
-    balls = sorted(groups)
-    sizes = np.array([len(groups[b]) for b in balls], dtype=np.intp)
-    by_size = []
-    for size in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == size)
-        by_size.append((at, np.array([groups[balls[i]] for i in at.tolist()], dtype=np.intp)))
-    return balls, sizes, by_size
 
 
 def _means(groups: Mapping[int, Sequence[int]], cols: Mapping[str, np.ndarray]) -> BallMeansTable:

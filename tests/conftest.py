@@ -112,3 +112,34 @@ def cover_inputs(draw):
     cloud = bm.PointCloud(tuple(f"x{j}" for j in range(k)), values, tuple(row_ids))
     order = draw(st.sampled_from(["data", "shuffle"]))
     return cloud, epsilon, order, draw(st.integers(0, 2**32 - 1))
+
+
+# Layout coordinates: the unit square's corners and centre, integral values
+# (written as ints), and any other finite double.
+COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1e16]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def laid_out_graphs(draw):
+    """(graph, positions, scale) as render_graph_svg and the results writer take them.
+
+    One to seven balls of sizes 1 to 300, any set of edges among them (none
+    too), positions for every ball, and one of: no color (color_mean and
+    color_bin None, no scale), color means without bins or scale, or
+    assign_bins' bins and scale.
+    """
+    n = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(1, 300), min_size=n, max_size=n))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = tuple(bm.GraphEdge(s, t, draw(st.integers(1, 300))) for s, t in sorted(chosen))
+    color = draw(st.sampled_from(["none", "means", "bins"]))
+    means = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    nodes = tuple(bm.GraphNode(b, size, means[b - 1] if color != "none" else None)
+                  for b, size in enumerate(sizes, start=1))
+    graph, scale = bm.MapperGraph(nodes, edges), None
+    if color == "bins":
+        scale, graph = bm.assign_bins(graph, draw(st.integers(1, 9)))
+    positions = {b: (draw(COORDINATE), draw(COORDINATE)) for b in range(1, n + 1)}
+    return graph, positions, scale

@@ -16,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper import summary
-from ballmapper.cli import _write_merged_csv, main
+from ballmapper import point_cloud, summary
+from ballmapper.cli import RESULTS_HEADER, _write_merged_csv, _write_results_csv, main
 from ballmapper.errors import ValidationError
-from ballmapper.point_cloud import write_cells
+from ballmapper.point_cloud import format_value, write_cells
+
+from conftest import laid_out_graphs
 
 
 def run_cli(args):
@@ -192,6 +194,53 @@ def test_merged_csv_matches_reference_writer(tmp_path_factory, inputs):
     _write_merged_csv(out / "got.csv", raw, cover)
     _write_merged_reference(out / "want.csv", raw, cover)
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def _write_results_reference(path, graph, positions):
+    """The results writer before its rows were f-string lines: cells through write_cells."""
+    xy = {b: (format_value(x), format_value(y)) for b, (x, y) in positions.items()}
+    rows = []
+    for n in graph.nodes:
+        x, y = xy[n.ball]
+        rows.append((
+            "node", n.ball, x, y, n.size,
+            "" if n.color_mean is None else format_value(n.color_mean),
+            "" if n.color_bin is None else n.color_bin,
+            "", "", "", "", "",
+        ))
+    for e in graph.edges:
+        x1, y1 = xy[e.source]
+        x2, y2 = xy[e.target]
+        rows.append((
+            "edge", "", x1, y1, "", "", "",
+            e.source, e.target, x2, y2, e.shared,
+        ))
+    write_cells(path, RESULTS_HEADER, rows)
+
+
+@given(laid_out_graphs())
+@settings(max_examples=200, deadline=None)
+def test_results_csv_matches_reference_writer(tmp_path_factory, inputs):
+    graph, positions, _scale = inputs
+    out = tmp_path_factory.mktemp("results")
+    _write_results_csv(out / "got.csv", graph, positions)
+    _write_results_reference(out / "want.csv", graph, positions)
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_plain_input_run_never_reaches_csv_writer(auto_csv, tmp_path, monkeypatch):
+    # every cell of auto.csv is plain, so all three outputs are joined text
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain batch reached csv.writer")
+
+    want = tmp_path / "want"
+    want.mkdir()
+    assert run_cli(auto_run_args(auto_csv, want, "")) == 0
+    monkeypatch.setattr(csv, "writer", refuse)
+    monkeypatch.setattr(point_cloud, "_CSV_BATCH", 7)
+    assert run_cli(auto_run_args(auto_csv, tmp_path, "")) == 0
+    for name in ("g.svg", "r.csv", "m.csv"):
+        assert (tmp_path / name).read_bytes() == (want / name).read_bytes()
 
 
 def _child_env():

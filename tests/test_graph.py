@@ -3,7 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
@@ -44,6 +45,35 @@ def assert_matches_oracles(cover, color_values):
     got = np.array([n.color_mean for n in g.nodes])
     want = np.array(_means_reference(cover, color_values))
     assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+# ball sizes on both sides of numpy's pairwise-summation block of 8 and its
+# unrolled block of 128
+PAIRWISE_SIZES = [1, 2, 7, 8, 9, 128, 129, 300]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1.0, np.pi, 1e300, "overflow"]),
+       st.lists(st.sampled_from(PAIRWISE_SIZES), min_size=1, max_size=10))
+@example(0, np.pi, PAIRWISE_SIZES)
+@example(1, "overflow", PAIRWISE_SIZES)
+@settings(max_examples=100, deadline=None)
+def test_color_means_match_per_ball_mean(seed, scale, sizes):
+    rng = np.random.default_rng(seed)
+    n = max(sizes) + 5
+    row_ids = np.sort(rng.choice(10**6, size=n, replace=False))
+    members = tuple(tuple(row_ids[np.sort(rng.choice(n, size=size, replace=False))].tolist())
+                    for size in sizes)
+    cover = bm.BallCover(1.0, tuple(m[0] for m in members), members, tuple(row_ids.tolist()))
+    if scale == "overflow":  # sums that overflow to inf or nan, left for assign_bins
+        vals = rng.choice([1.7e308, -1.7e308, 1e308, 1.0], size=n)
+    else:
+        vals = rng.normal(size=n) * scale
+    got = [node.color_mean for node in bm.build_graph(cover, vals).nodes]
+    # the per-ball comprehension build_graph took its means with before
+    pos = np.searchsorted(row_ids, np.concatenate(members))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float(vals[idx].mean()) for idx in np.split(pos, np.cumsum(sizes)[:-1])]
+    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 class TestBuildGraph:

@@ -2,16 +2,17 @@ import csv
 import io
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper import point_cloud
-from ballmapper.point_cloud import _parse_cell, csv_lines, format_value
+from ballmapper.point_cloud import _parse_cell, csv_lines, format_floats, format_value
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -404,6 +405,42 @@ class TestCsvRoundTrip:
         assert format_value("make") == "make"
 
 
+def _format_float_reference(x) -> str:
+    """format_value's float rule as it was, one scalar at a time."""
+    v = float(x)
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+# values at the edges of the int rule: signed zero, 1e16 and the integers
+# just below it, the ends of float64's exact integers, and the largest doubles
+FORMAT_EDGES = [-0.0, 0.0, 1e16, -1e16, 1e16 - 2, -(1e16 - 2), np.nextafter(1e16, 0),
+                float(2**53 - 1), float(2**53), float(2**53 + 1), -float(2**53 + 1), 0.1,
+                1e308, -1e308, 1.7976931348623157e308, np.nextafter(1e308, np.inf), 5e-324,
+                math.nan, math.inf, -math.inf, 1.0, -3.0, 2.5]
+
+
+@given(st.lists(st.one_of(st.sampled_from(FORMAT_EDGES), st.floats(width=64),
+                          st.integers(-2**62, 2**62).map(float)), max_size=40))
+@settings(max_examples=300, deadline=None)
+@example(FORMAT_EDGES)
+def test_format_floats_matches_scalar_rule(values):
+    want = [_format_float_reference(v) for v in values]
+    assert format_floats(values) == want
+    assert format_floats(np.array(values, dtype=float)) == want
+    assert [format_value(v) for v in values] == want
+
+
+def test_point_cloud_csv_bytes_at_format_edges(tmp_path):
+    values = np.array(FORMAT_EDGES[:17], dtype=float).reshape(-1, 1) * [1.0, -1.0]
+    cloud = bm.PointCloud(("a", "b"), values, tuple(range(len(values))))
+    bm.write_point_cloud_csv(cloud, tmp_path / "c.csv")
+    want = "a,b\n" + "".join(f"{_format_float_reference(x)},{_format_float_reference(y)}\n"
+                             for x, y in values.tolist())
+    assert (tmp_path / "c.csv").read_bytes() == want.encode()
+
+
 # cells that csv must quote, a lone carriage return among them
 WRITER_CELL = st.lists(st.sampled_from(["a", ",", '"', "\n", "\r\n", "\r", " ", "é", ""]),
                        max_size=4).map("".join)
@@ -422,3 +459,59 @@ def test_csv_lines_read_back_and_differ_only_by_quoting_lone_cr(rows, batch):
     csv.writer(plain, lineterminator="\n").writerows(rows)
     if not any("\r" in cell for row in rows for cell in row):
         assert "".join(got) == plain.getvalue()
+
+
+def _csv_lines_reference(rows):
+    """csv_lines before plain batches were joined: every row through csv.writer."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return [line[:-2] + "\n" for line in lines]
+
+
+# cells that csv writes bare: any text but the delimiter, the quote, CR, LF and NUL
+PLAIN_CELL = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters=',"\r\n\x00'), max_size=4)
+PLAIN_ROW = st.lists(PLAIN_CELL, min_size=2, max_size=5)
+SPECIAL_ROW = st.one_of(
+    st.tuples(st.lists(PLAIN_CELL, min_size=1, max_size=3), WRITER_CELL.filter(
+        lambda c: any(ch in c for ch in ',"\r\n'))).map(lambda t: t[0] + [t[1]]),
+    st.lists(st.one_of(PLAIN_CELL, st.integers()), min_size=1, max_size=4).filter(
+        lambda row: any(isinstance(c, int) for c in row)),
+    st.just([""]), st.just([]), st.lists(PLAIN_CELL, min_size=1, max_size=1),
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    """Plain rows with one to three special rows among them, and a small batch
+    size, so that plain batches come before and after the one a special row is in."""
+    batch = draw(st.integers(1, 4))
+    rows = draw(st.lists(PLAIN_ROW, min_size=0, max_size=4 * batch))
+    for _ in range(draw(st.integers(1, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(SPECIAL_ROW))
+    return rows, batch
+
+
+@given(mixed_rows())
+@example(([["a", "b"], ["c", "d"], ["1"], ["e", "f"], ["g", "h"]], 2))
+@example(([["a", "b"], [""], ["e", "f"]], 1))
+@settings(max_examples=300, deadline=None)
+def test_csv_lines_match_csv_writer(inputs):
+    rows, batch = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(point_cloud, "_CSV_BATCH", batch)
+        assert list(csv_lines(rows)) == _csv_lines_reference(rows)
+
+
+@given(st.lists(PLAIN_ROW, max_size=12), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_plain_batches_never_reach_csv_writer(rows, batch):
+    want = _csv_lines_reference(rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain batch reached csv.writer")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(point_cloud, "_CSV_BATCH", batch)
+        mp.setattr(csv, "writer", refuse)
+        assert list(csv_lines(rows)) == want

@@ -3,13 +3,17 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
+from ballmapper import render
 from ballmapper.errors import ValidationError
-from ballmapper.render import _escape
+from ballmapper.graph import FALLBACK_FILL
+from ballmapper.render import _disc_radius, _escape, _legend, _num
 from ballmapper.summary import BallDistributionRow
+
+from conftest import laid_out_graphs
 
 
 @given(st.text(alphabet="&<>;ag\"'", max_size=10))
@@ -119,6 +123,72 @@ class TestRenderGraphSvg:
         g = bm.build_graph(line_cover)
         with pytest.raises(ValueError, match="position"):
             bm.render_graph_svg(g, {1: (0.0, 0.0)})
+
+
+def _render_graph_svg_reference(graph, positions, scale=None, options=bm.RenderOptions()):
+    """render_graph_svg before each ball's pixel text was made once: every
+    edge endpoint, disc and label converted and formatted on its own."""
+    legend_w = 0 if scale is None else 170
+    margin = render.MAX_RADIUS + 12
+    plot_w = render.WIDTH - legend_w - 2 * margin
+    plot_h = render.HEIGHT - 2 * margin
+
+    def to_px(xy):
+        x, y = xy
+        return margin + x * plot_w, margin + (1.0 - y) * plot_h
+
+    max_size = max(n.size for n in graph.nodes)
+    parts = [render.SVG_OPEN, render.BACKGROUND_RECT]
+    for e in graph.edges:
+        x1, y1 = to_px(positions[e.source])
+        x2, y2 = to_px(positions[e.target])
+        parts.append(
+            f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{render.EDGE_COLOR}" stroke-width="{_num(render.EDGE_WIDTH)}"/>'
+        )
+    radii = {}
+    for n in graph.nodes:
+        cx, cy = to_px(positions[n.ball])
+        r = _disc_radius(n.size, max_size)
+        radii[n.ball] = (cx, cy, r)
+        if scale is not None and n.color_bin is not None:
+            fill = scale.color_for_bin(n.color_bin)
+        else:
+            fill = FALLBACK_FILL
+        parts.append(
+            f'<circle cx="{_num(cx)}" cy="{_num(cy)}" r="{_num(r)}" fill="{fill}" '
+            f'stroke="{render.NODE_STROKE}" stroke-width="1"/>'
+        )
+    if options.show_labels:
+        for n in graph.nodes:
+            cx, cy, r = radii[n.ball]
+            font = max(8.0, 0.9 * r)
+            parts.append(
+                f'<text x="{_num(cx)}" y="{_num(cy)}" font-size="{_num(font)}" '
+                f'font-family="sans-serif" text-anchor="middle" '
+                f'dominant-baseline="central">{n.ball}</text>'
+            )
+    if legend_w:
+        parts.extend(_legend(scale))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@given(laid_out_graphs(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_graph_svg_matches_per_edge_renderer(inputs, labels):
+    graph, positions, scale = inputs
+    options = bm.RenderOptions(show_labels=labels)
+    assert (bm.render_graph_svg(graph, positions, scale, options)
+            == _render_graph_svg_reference(graph, positions, scale, options))
+
+
+def test_graph_svg_matches_per_edge_renderer_on_auto(auto_cover, auto_raw):
+    g, layout, scale = graph_with_layout(auto_cover, auto_raw.numeric_column("price"))
+    for options in (bm.RenderOptions(), bm.RenderOptions(show_labels=True)):
+        for s in (scale, None):
+            assert (bm.render_graph_svg(g, layout, s, options)
+                    == _render_graph_svg_reference(g, layout, s, options))
 
 
 def dist_row(ball, lo, q25, q50, q75, hi, size=3):
