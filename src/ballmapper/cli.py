@@ -6,9 +6,9 @@ rows) and a merged CSV with one row per (point, containing ball) pair. The
 summary commands consume the merged CSV, so re-running the pipeline never
 silently invalidates an earlier analysis.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error. Every command writes
-its files all or none, so a failed command leaves earlier outputs untouched,
-and a failed write names its target.
+Exit codes: 0 success, 1 validation error, 2 I/O error or out of memory.
+Every command writes its files all or none, so a failed command leaves
+earlier outputs untouched, and a failed write names its target.
 """
 from __future__ import annotations
 
@@ -118,15 +118,13 @@ def cmd_run(args: argparse.Namespace):
     if "ball" in raw.column_names:
         raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
 
-    cloud, _dropped = validate_axes(raw, args.axes)
+    cloud = validate_axes(raw, args.axes)[0]  # every row: drop_missing is off
     if args.standardize:
         cloud, std_spec = standardize(cloud)
         for name, mean, sd in zip(std_spec.columns, std_spec.means, std_spec.sds):
             print(f"standardized {name}: mean {mean:.6g}, sd {sd:.6g}")
 
-    color_values = None
-    if args.color is not None:
-        color_values = raw.numeric_column(args.color)[list(cloud.row_ids)]
+    color_values = None if args.color is None else raw.numeric_column(args.color)
 
     cover = build_cover(cloud, args.epsilon, order=args.order, seed=args.seed)
     graph = build_graph(cover, color_values)
@@ -249,6 +247,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # such as numpy's refusal of a huge gen array
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

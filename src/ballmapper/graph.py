@@ -5,7 +5,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,11 +88,8 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
     the source cloud); each node's color_mean is the arithmetic mean over its
     members and each edge records the shared-point count.
     """
-    n_balls = cover.n_balls
-    sizes = np.fromiter(map(len, cover.members), dtype=np.int64, count=n_balls)
-    rows = np.fromiter(chain.from_iterable(cover.members), dtype=np.int64, count=int(sizes.sum()))
-
-    means: list[float | None] = [None] * n_balls
+    sizes, rows = _incidence(cover)
+    means: list[float | None] = [None] * cover.n_balls
     if color_values is not None:
         vals = np.asarray(color_values, dtype=float)
         if vals.shape != (cover.n_points,):
@@ -102,34 +99,44 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
         pos = np.searchsorted(cover.row_ids, rows)  # row ids ascend, as in the cloud
-        groups = dict(enumerate(np.split(pos, np.cumsum(sizes)[:-1]), start=1))
-        out = np.empty(n_balls)
-        # A mean that overflows is left as inf or nan for assign_bins to refuse.
-        # Each gather vals[members] is C-contiguous, so .mean(axis=1) sums each
-        # row pairwise as .mean() sums the ball's members alone; np.add.reduceat
-        # sums in another order and changes the last bits.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for at, members in _by_size(groups)[2]:
-                out[at] = vals[members].mean(axis=1)
-        means = out.tolist()
+        means = _ball_means(sizes, pos, [vals])[0].tolist()  # assign_bins refuses an overflow
 
-    nodes = tuple(
-        GraphNode(ball=b, size=len(m), color_mean=means[b - 1])
-        for b, m in enumerate(cover.members, start=1)
-    )
+    nodes = tuple(map(GraphNode, cover.ball_ids, sizes.tolist(), means))  # ball, size, color_mean
     return MapperGraph(nodes, _overlap_edges(rows, sizes))
 
 
-def _by_size(groups: Mapping[int, Sequence[int]]):
-    """The ball ids ascending, their sizes, and per distinct size the positions
-    of its balls among those ids with their members as a (balls x size) array."""
-    balls = sorted(groups)
-    sizes = np.array([len(groups[b]) for b in balls], dtype=np.intp)
-    by_size = []
+def _incidence(cover: BallCover) -> tuple[np.ndarray, np.ndarray]:
+    """The ball sizes and each ball's member row ids in turn, both intp: the one
+    flattening of members, for build_graph and the library summaries."""
+    sizes = np.fromiter(map(len, cover.members), dtype=np.intp, count=cover.n_balls)
+    rows = np.fromiter(chain.from_iterable(cover.members), dtype=np.intp, count=int(sizes.sum()))
+    return sizes, rows
+
+
+def _by_size(sizes: np.ndarray, rows: np.ndarray):
+    """Per distinct ball size, ascending, the positions `at` of its balls and
+    their members, from each ball's rows in turn, as one (balls x size) array."""
+    starts = np.cumsum(sizes) - sizes
     for size in sorted(set(sizes.tolist())):  # np.unique(sizes) would import numpy.ma
         at = np.flatnonzero(sizes == size)
-        by_size.append((at, np.array([groups[balls[i]] for i in at.tolist()], dtype=np.intp)))
-    return balls, sizes, by_size
+        yield at, rows[starts[at][:, None] + np.arange(size)]
+
+
+def _ball_means(sizes: np.ndarray, rows: np.ndarray, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The mean of each column over each ball's rows, as a (columns x balls)
+    array; a mean that overflows is left as inf or nan for the caller to refuse.
+
+    Each gather col[members] is C-contiguous, so .mean(axis=1) sums each row
+    pairwise exactly as .mean() sums the ball's members alone; a gather that
+    is not, such as block[:, idx] of a V x N block, or np.add.reduceat sums
+    in another order and changes the last bits.
+    """
+    means = np.empty((len(cols), len(sizes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at, members in _by_size(sizes, rows):  # the blocks are built once for all columns
+            for k, col in enumerate(cols):
+                means[k, at] = col[members].mean(axis=1)
+    return means
 
 
 def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .graph import _by_size
+from .graph import _ball_means, _by_size, _incidence
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
 from .point_cloud import distinct_names, write_csv
 
@@ -34,6 +34,9 @@ _CHUNK_ROWS = 4096
 _BLOCK_BYTES = 1 << 18
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# Ball membership below the cover, (ids, sizes, rows): the ball ids ascending,
+# their sizes (intp), and each ball's member rows in turn, each ball's in file order.
+_Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def quantile(values: Sequence[float], p: float) -> float:
@@ -158,15 +161,16 @@ def _ball_ids(cells: Sequence[str], first_row: int = 0) -> np.ndarray:
         raise ValidationError(f"bad ball id {cells[i]!r} at merged row {first_row + i}") from None
 
 
-def _groups(balls: np.ndarray) -> dict[int, np.ndarray]:
-    """Row indices per ball id, each group in file order."""
-    order = np.argsort(balls, kind="stable")
-    ids, starts = np.unique(balls[order], return_index=True)
-    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+def _groups(balls: np.ndarray) -> _Groups:
+    """(ids, sizes, rows) of a ball id column: the distinct ids ascending, their
+    counts, and the row indices ball after ball, each ball's in file order."""
+    ids, sizes = np.unique(balls, return_counts=True)
+    return ids, sizes, np.argsort(balls, kind="stable")
 
 
-def ball_groups_from_merged(raw: RawTable) -> dict[int, np.ndarray]:
-    """Recover ball membership (row indices per ball id, in file order) from a merged CSV."""
+def ball_groups_from_merged(raw: RawTable) -> _Groups:
+    """Recover ball membership from a merged CSV as (ids, sizes, rows): the
+    ball ids ascending, their sizes, and each ball's row indices in turn, in file order."""
     if "ball" not in raw.column_names:
         raise ValidationError("merged table has no 'ball' column")
     if not raw.rows:
@@ -210,9 +214,7 @@ def _short_lines(data: bytes, limit: int) -> list[str]:
     return lines
 
 
-def _read_plain(
-    path, names: Sequence[str]
-) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]] | None:
+def _read_plain(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]] | None:
     """_read_streamed's result by numpy's C reader, or None where it declines.
 
     It reads only a plain file: printable ASCII but '"', lines ending in LF,
@@ -254,9 +256,7 @@ def _read_plain(
     return _groups(table["ball"]), cols
 
 
-def _read_merged(
-    path, names: Sequence[str]
-) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]]:
+def _read_merged(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:
     """The ball groups and the named columns, as float64, of a merged CSV file.
 
     A plain file is read by numpy's C reader (_read_plain), any other by the
@@ -265,9 +265,7 @@ def _read_merged(
     return _read_plain(path, names) or _read_streamed(path, names)
 
 
-def _read_streamed(
-    path, names: Sequence[str]
-) -> tuple[dict[int, np.ndarray], dict[str, np.ndarray]]:
+def _read_streamed(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:
     """The ball groups and the named columns, as float64, of a merged CSV file.
 
     The rows are read _CHUNK_ROWS at a time, and each chunk is parsed into
@@ -313,16 +311,16 @@ def _read_streamed(
     }
 
 
-def _held_column(raw: RawTable, name: str, groups: Mapping[int, Sequence[int]]) -> np.ndarray:
+def _held_column(raw: RawTable, name: str, rows: np.ndarray) -> np.ndarray:
     """Column name as float64; refuses a missing or non-numeric cell that some
-    group holds, with the first such row in the error, and ignores the rest."""
+    ball holds (its row is among rows), with the first such row in the error,
+    and ignores the rest."""
     j = raw.column_index(name)
     col = _parse_column(raw.rows, j)
     bad = np.flatnonzero(~np.isfinite(col))
     if len(bad):
         held = np.zeros(len(col), dtype=bool)
-        for idx in groups.values():
-            held[np.asarray(idx, dtype=np.intp)] = True
+        held[rows] = True
         bad = bad[held[bad]]
         if len(bad):
             _parse_cell(raw.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
@@ -338,38 +336,28 @@ def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
-def _means(groups: Mapping[int, Sequence[int]], cols: Mapping[str, np.ndarray]) -> BallMeansTable:
-    # One gather per ball size and variable. col[members] is C-contiguous, so
-    # .mean(axis=1) sums each row pairwise exactly as .mean() sums the ball's
-    # member column alone; a gather that is not C-contiguous, such as
-    # block[:, idx] of a V x N block, would be summed in another order.
+def _means(groups: _Groups, cols: Mapping[str, np.ndarray]) -> BallMeansTable:
     variables = tuple(cols)
-    balls, sizes, by_size = _by_size(groups)
-    means = np.empty((len(variables), len(balls)))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for at, members in by_size:
-            for k, col in enumerate(cols.values()):
-                means[k, at] = col[members].mean(axis=1)
+    ids, sizes, rows = groups
+    means = _ball_means(sizes, rows, list(cols.values()))  # an overflow is refused below
     bad = ~np.isfinite(means)
     if bad.any():  # the first ball in ball order, then its first variable
         i = int(np.flatnonzero(bad.any(axis=0))[0])
         k = int(np.flatnonzero(bad[:, i])[0])
-        raise _overflow("mean", variables[k], balls[i])
+        raise _overflow("mean", variables[k], int(ids[i]))
     return BallMeansTable(variables, tuple(
         BallMeansRow(ball=b, means=tuple(m), size=n)
-        for b, m, n in zip(balls, means.T.tolist(), sizes.tolist())
+        for b, m, n in zip(ids.tolist(), means.T.tolist(), sizes.tolist())
     ))
 
 
-def _distribution(
-    groups: Mapping[int, Sequence[int]], col: np.ndarray, variable: str
-) -> BallDistributionTable:
+def _distribution(groups: _Groups, col: np.ndarray, variable: str) -> BallDistributionTable:
     # mean and sd are taken over each gather in member order, so they match
     # _means bit for bit; sorting is only for the order statistics
-    balls, sizes, by_size = _by_size(groups)
-    stats = np.empty((7, len(balls)))  # mean, sd, min, q25, q50, q75, max
+    ids, sizes, rows = groups
+    stats = np.empty((7, len(ids)))  # mean, sd, min, q25, q50, q75, max
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        for at, members in by_size:
+        for at, members in _by_size(sizes, rows):
             values = col[members]
             stats[0, at] = values.mean(axis=1)
             stats[1, at] = values.std(axis=1, ddof=1) if values.shape[1] > 1 else 0.0
@@ -382,26 +370,26 @@ def _distribution(
     bad_mean, bad_sd = ~np.isfinite(stats[0]), ~np.isfinite(stats[1]) & held_sd
     if (bad_mean | bad_sd).any():  # the first ball in ball order, its mean before its sd
         i = int(np.flatnonzero(bad_mean | bad_sd)[0])
-        raise _overflow("mean" if bad_mean[i] else "sd", variable, balls[i])
+        raise _overflow("mean" if bad_mean[i] else "sd", variable, int(ids[i]))
     return BallDistributionTable(variable, tuple(
         BallDistributionRow(ball=b, mean=mean, sd=sd if held else None, min=lo, q25=q25,
                             q50=q50, q75=q75, max=hi, size=n)
         for b, (mean, sd, lo, q25, q50, q75, hi), held, n
-        in zip(balls, stats.T.tolist(), held_sd.tolist(), sizes.tolist())
+        in zip(ids.tolist(), stats.T.tolist(), held_sd.tolist(), sizes.tolist())
     ))
 
 
-def means_over_groups(
-    raw: RawTable, groups: Mapping[int, Sequence[int]], variables: Sequence[str]
-) -> BallMeansTable:
+def means_over_groups(raw: RawTable, groups: _Groups, variables: Sequence[str]) -> BallMeansTable:
+    """Per-ball means of the variables, over groups (ids, sizes, rows) of raw's row indices."""
     variables = _mean_variables(variables)
-    return _means(groups, {v: _held_column(raw, v, groups) for v in variables})
+    return _means(groups, {v: _held_column(raw, v, groups[2]) for v in variables})
 
 
 def distribution_over_groups(
-    raw: RawTable, groups: Mapping[int, Sequence[int]], variable: str
+    raw: RawTable, groups: _Groups, variable: str
 ) -> BallDistributionTable:
-    return _distribution(groups, _held_column(raw, variable, groups), variable)
+    """Per-ball distribution of variable, over groups (ids, sizes, rows) of raw's row indices."""
+    return _distribution(groups, _held_column(raw, variable, groups[2]), variable)
 
 
 def means_from_merged(path, variables: Sequence[str]) -> BallMeansTable:
@@ -426,7 +414,8 @@ def ball_summary(
     Rows are indexed by the cover's member row ids, so the raw table must be
     the one the cover was built from.
     """
-    table = means_over_groups(raw, dict(zip(cover.ball_ids, cover.members)), variables)
+    sizes, rows = _incidence(cover)
+    table = means_over_groups(raw, (np.arange(1, len(sizes) + 1), sizes, rows), variables)
     if csv_path is not None:
         table.write(csv_path)
     return table
@@ -439,7 +428,8 @@ def variable_summary(
     csv_path=None,
 ) -> BallDistributionTable:
     """Distribution (mean, sd, quartiles, extremes) of one variable per ball."""
-    table = distribution_over_groups(raw, dict(zip(cover.ball_ids, cover.members)), variable)
+    sizes, rows = _incidence(cover)
+    table = distribution_over_groups(raw, (np.arange(1, len(sizes) + 1), sizes, rows), variable)
     if csv_path is not None:
         table.write(csv_path)
     return table

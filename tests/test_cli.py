@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import os
 import resource
 import shutil
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper import point_cloud, summary
+from ballmapper import datagen, point_cloud, summary
 from ballmapper.cli import RESULTS_HEADER, _write_merged_csv, _write_results_csv, main
 from ballmapper.errors import ValidationError
 from ballmapper.point_cloud import format_value, write_cells
@@ -249,6 +250,28 @@ def _child_env():
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_commands_leave_out_numpy_ma(tmp_path):
+    # importing numpy.ma costs every command about 1.3 MB of peak RSS
+    merged = tmp_path / "m.csv"
+    commands = [
+        AUTO_RUN + ["-i", bm.auto_csv_path(), "--svg", tmp_path / "g.svg",
+                    "--results", tmp_path / "r.csv", "--merged", merged],
+        ["ball-summary", "--merged", merged, "--variables", "mpg,price,foreign",
+         "-o", tmp_path / "means.csv"],
+        ["variable-summary", "--merged", merged, "--variable", "price",
+         "-o", tmp_path / "price.csv", "--boxplot", tmp_path / "price.svg"],
+    ]
+    code = ("import json, sys; from ballmapper.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)")
+    argvs = json.dumps([list(map(str, argv)) for argv in commands])
+    child = subprocess.run([sys.executable, "-c", code, argvs], env=_child_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_import_leaves_out_xml_and_urllib():
     code = ("import sys, ballmapper.cli; "
             "print([m for m in ('xml.sax', 'urllib.request') if m in sys.modules])")
@@ -389,6 +412,25 @@ class TestGenCommand:
         code = run_cli(["gen", "moons", "-o", tmp_path / "m.csv"])
         assert code == 1
         assert "moons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 1.46 TiB for an array with shape (100000000000, 2) "
+                     "and data type float64"),
+         "error: Unable to allocate 1.46 TiB for an array with shape (100000000000, 2) "
+         "and data type float64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line_and_exit_2(self, exc, line, tmp_path, capsys,
+                                                 monkeypatch):
+        # the generator is made to fail: a real huge allocation could be killed
+        # for out-of-memory on a host that overcommits instead
+        def fail(n, k, seed):
+            raise exc
+        monkeypatch.setattr(datagen, "gen_gaussian_cloud", fail)
+        out = tmp_path / "x.csv"
+        assert run_cli(["gen", "gauss", "--n", "100000000000", "-o", out]) == 2
+        assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
 
 
 RUN_OUT = ["--svg", "{out}/g.svg", "--results", "{out}/r.csv", "--merged", "{out}/m.csv"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import summary
 from ballmapper.errors import ValidationError
+from ballmapper.graph import _ball_means, _by_size
 
 from conftest import membership_matrix
 
@@ -119,6 +120,67 @@ def _random_groups(rng, n, sizes):
     return groups, rows
 
 
+def _as_groups(groups):
+    """A dict {ball id: member rows} as the (ids, sizes, rows) the summaries take."""
+    ids = sorted(groups)
+    members = [np.asarray(groups[b], dtype=np.intp) for b in ids]
+    return (np.array(ids, dtype=np.int64), np.array(list(map(len, members)), dtype=np.intp),
+            np.concatenate(members))
+
+
+def _groups_reference(balls):
+    """The dict of row indices per ball id, each in file order, that _groups once returned."""
+    order = np.argsort(balls, kind="stable")
+    ids, starts = np.unique(balls[order], return_index=True)
+    return dict(zip(ids.tolist(), np.split(order, starts[1:])))
+
+
+def _by_size_reference(groups):
+    """The dict loop _by_size once ran: per distinct size, the positions of its
+    balls among the ids ascending, and their members as a (balls x size) array."""
+    balls = sorted(groups)
+    sizes = np.array([len(groups[b]) for b in balls], dtype=np.intp)
+    blocks = []
+    for size in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == size)
+        blocks.append((at, np.array([groups[balls[i]] for i in at.tolist()], dtype=np.intp)))
+    return blocks
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.sampled_from(PAIRWISE_SIZES)),
+                min_size=1, max_size=10, unique_by=lambda ball: ball[0]),
+       st.sampled_from([1e-300, 1.0, np.pi, 1e300, "overflow"]), st.integers(1, 3))
+@example(0, list(zip([5, -3, 2**63 - 1, -2**63, 0, 9, -1, 4], PAIRWISE_SIZES)), np.pi, 2)
+@example(1, list(zip([7, -7, 3, -3, 1, -1, 8, -8], PAIRWISE_SIZES)), "overflow", 3)
+@settings(max_examples=100, deadline=None)
+def test_blocks_and_means_match_the_dict_oracles(seed, balls, scale, v):
+    rng = np.random.default_rng(seed)
+    ids, counts = zip(*balls)
+    # each ball's rows interleaved with the others' in file order; ids unsorted, some negative
+    column = rng.permutation(np.repeat(np.array(ids, dtype=np.int64), counts))
+    groups = _groups_reference(column)
+    _, sizes, rows = triple = summary._groups(column)
+    assert [a.tolist() for a in triple] == [a.tolist() for a in _as_groups(groups)]
+    assert sizes.dtype == np.intp
+
+    blocks, want = list(_by_size(sizes, rows)), _by_size_reference(groups)
+    assert [at.tolist() for at, _ in blocks] == [at.tolist() for at, _ in want]
+    for (_, members), (_, want_members) in zip(blocks, want, strict=True):
+        assert members.dtype == np.intp and members.flags.c_contiguous
+        assert members.tolist() == want_members.tolist()
+
+    if scale == "overflow":  # sums that overflow to inf or nan, left for the caller
+        cols = [rng.choice([1.7e308, -1.7e308, 1e308, 1.0], size=len(column)) for _ in range(v)]
+    else:
+        cols = [rng.normal(size=len(column)) * scale for _ in range(v)]
+    got = _ball_means(sizes, rows, cols)
+    # the per-ball loop: one .mean() over each ball's gathered members
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [[float(col[groups[b]].mean()) for b in sorted(groups)] for col in cols]
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 class TestBallSummary:
     def test_line_cover(self, line_cover, tmp_path):
         raw = bm.RawTable(("x", "y"), (("0", "2"), ("1", "4"), ("2", "6")))
@@ -161,14 +223,15 @@ class TestBallSummary:
     def test_overflowing_mean_refused(self):
         raw = bm.RawTable(("c",), (("1.7e308",), ("1.7e308",)))
         with pytest.raises(ValidationError, match="the mean of 'c' in ball 3 overflows float64"):
-            summary.means_over_groups(raw, {3: [0, 1]}, ("c",))
+            summary.means_over_groups(raw, _as_groups({3: [0, 1]}), ("c",))
 
     def test_groups_keep_file_order(self):
         balls = ("2", "1", "2", "1", " 3 ", "3")
         raw = bm.RawTable(("ball", "x"), tuple((b, str(i)) for i, b in enumerate(balls)))
-        groups = summary.ball_groups_from_merged(raw)
-        assert sorted(groups) == [1, 2, 3]
-        assert [groups[b].tolist() for b in (1, 2, 3)] == [[1, 3], [0, 2], [4, 5]]
+        ids, sizes, rows = summary.ball_groups_from_merged(raw)
+        assert ids.tolist() == [1, 2, 3]
+        assert sizes.tolist() == [2, 2, 2]
+        assert rows.tolist() == [1, 3, 0, 2, 4, 5]  # balls 1, 2, 3, each in file order
 
     @pytest.mark.parametrize("cell", ["x", "1.0", "", "9223372036854775808",
                                       "-9223372036854775809"])
@@ -210,7 +273,7 @@ class TestBallSummary:
         variables = tuple(f"v{j}" for j in range(v))
         groups, rows = _random_groups(rng, n, sizes)
         cols = {name: rng.normal(size=rows) * scale for name in variables}
-        table = summary._means(groups, cols)
+        table = summary._means(_as_groups(groups), cols)
         # the loop the means were taken with before: one gather per variable
         want = [tuple(float(cols[name][groups[b]].mean()) for name in variables)
                 for b in sorted(groups)]
@@ -227,7 +290,7 @@ class TestBallSummary:
         rng = np.random.default_rng(seed)
         groups, rows = _random_groups(rng, n, sizes)
         col = rng.normal(size=rows) * scale
-        got = summary._distribution(groups, col, "v").rows
+        got = summary._distribution(_as_groups(groups), col, "v").rows
         for row, ball in zip(got, sorted(groups), strict=True):
             # the per-ball loop the table was built with before
             member_vals = col[groups[ball]]
@@ -260,7 +323,7 @@ class TestBallSummary:
         # sizes are taken in ascending order; the lower ball id is named
         raw = bm.RawTable(("a", "b"), cells)
         with pytest.raises(ValidationError) as exc:
-            summarise(raw, {7: [0, 1], 2: [2, 3, 4]})
+            summarise(raw, _as_groups({7: [0, 1], 2: [2, 3, 4]}))
         assert str(exc.value) == message
 
     def test_sizes_column_matches_ball_sizes(self, auto_cover, auto_raw):
@@ -325,7 +388,7 @@ class TestVariableSummary:
     def test_overflowing_mean_or_sd_refused(self, cells, stat):
         raw = bm.RawTable(("c",), tuple((c,) for c in cells))
         with pytest.raises(ValidationError, match=f"the {stat} of 'c' in ball 3 overflows float64"):
-            summary.distribution_over_groups(raw, {3: [0, 1]}, "c")
+            summary.distribution_over_groups(raw, _as_groups({3: [0, 1]}), "c")
 
     def test_csv_sd_field_empty_for_singletons(self, auto_cover, auto_raw, tmp_path):
         out = tmp_path / "price.csv"
@@ -427,8 +490,7 @@ def test_plain_reader_reads_gauss5_shaped_file_as_streamed(change, tmp_path, fie
     for names in (GAUSS5_NAMES, ("c",)):
         got, want = summary._read_plain(path, names), summary._read_streamed(path, names)
         assert got is not None
-        assert list(got[0]) == list(want[0])
-        assert all(got[0][b].tolist() == want[0][b].tolist() for b in want[0])
+        assert [a.tolist() for a in got[0]] == [a.tolist() for a in want[0]]  # ids, sizes, rows
         assert all(got[1][n].tobytes() == want[1][n].tobytes() for n in names)
 
 
