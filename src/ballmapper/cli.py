@@ -17,6 +17,7 @@ import errno
 import os
 import secrets
 import sys
+from itertools import islice
 
 from . import datagen, layout, render, summary
 from .cover import build_cover
@@ -55,11 +56,12 @@ def _write_merged_csv(path, raw: RawTable, cover):
     # Each input row is rendered once, after an empty field, so its text starts
     # with the delimiter; each membership writes its ball id before that text.
     tails = list(csv_lines(("",) + row for row in raw.rows))
+    rows = iter(cover.rows.tolist())
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(csv_lines([("ball",) + raw.column_names]))
-        for ball, member_rows in enumerate(cover.members, start=1):
+        for ball, size in enumerate(cover.sizes.tolist(), start=1):
             prefix = str(ball)
-            f.write(prefix + prefix.join(map(tails.__getitem__, member_rows)))
+            f.write(prefix + prefix.join(map(tails.__getitem__, islice(rows, size))))
 
 
 def _write_all_or_none(writers) -> None:

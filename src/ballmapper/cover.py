@@ -8,6 +8,7 @@ later produces graph edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -17,19 +18,26 @@ from .point_cloud import PointCloud
 _UNDERFLOW_GAP = 1e-160  # above sqrt of the smallest subnormal, about 2.2e-162
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BallCover:
     """A cover: ball b (1-based) is centred on landmarks[b-1] with radius epsilon.
 
-    Landmark and member values are row ids of the source cloud; member lists
-    are sorted ascending. row_ids ascend, as in the PointCloud the cover was
-    built from. Every row id appears in at least one ball.
+    sizes[b-1] is ball b's point count and rows holds each ball's member row ids
+    in turn, ascending within a ball: read-only intp arrays, which members
+    expands into tuples. All ids are row ids of the source cloud; row_ids ascend,
+    as in its PointCloud, and each is in some ball. A cover equals only itself.
     """
 
     epsilon: float
     landmarks: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    sizes: np.ndarray
+    rows: np.ndarray
     row_ids: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        rows = iter(self.rows.tolist())
+        return tuple(tuple(islice(rows, size)) for size in self.sizes.tolist())
 
     @property
     def n_balls(self) -> int:
@@ -109,8 +117,8 @@ def build_cover(
         scratch = np.empty((k, int((his - los).max())))
         covered = np.zeros(n, dtype=bool)
         landmarks: list[int] = []
-        members: list[tuple[int, ...]] = []
-        row_ids = np.asarray(cloud.row_ids)
+        balls: list[np.ndarray] = []  # each ball's member row ids
+        row_ids = np.asarray(cloud.row_ids, dtype=np.intp)
 
         for lm in scan_order.tolist():
             if covered[lm]:
@@ -125,11 +133,14 @@ def build_cover(
             in_ball.sort()
             covered[in_ball] = True
             landmarks.append(int(row_ids[lm]))
-            members.append(tuple(row_ids[in_ball].tolist()))
+            balls.append(row_ids[in_ball])
 
-    return BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    rows = np.concatenate(balls)
+    sizes.flags.writeable = rows.flags.writeable = False
+    return BallCover(float(epsilon), tuple(landmarks), sizes, rows, tuple(cloud.row_ids))
 
 
 def ball_sizes(cover: BallCover) -> list[int]:
     """Point count per ball, in ball id order."""
-    return [len(m) for m in cover.members]
+    return cover.sizes.tolist()

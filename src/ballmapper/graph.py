@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +87,6 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
     the source cloud); each node's color_mean is the arithmetic mean over its
     members and each edge records the shared-point count.
     """
-    sizes, rows = _incidence(cover)
     means: list[float | None] = [None] * cover.n_balls
     if color_values is not None:
         vals = np.asarray(color_values, dtype=float)
@@ -98,19 +96,11 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("color values must all be finite")
-        pos = np.searchsorted(cover.row_ids, rows)  # row ids ascend, as in the cloud
-        means = _ball_means(sizes, pos, [vals])[0].tolist()  # assign_bins refuses an overflow
+        pos = np.searchsorted(cover.row_ids, cover.rows)  # row ids ascend, as in the cloud
+        means = _ball_means(cover.sizes, pos, [vals])[0].tolist()  # assign_bins refuses an overflow
 
-    nodes = tuple(map(GraphNode, cover.ball_ids, sizes.tolist(), means))  # ball, size, color_mean
-    return MapperGraph(nodes, _overlap_edges(rows, sizes))
-
-
-def _incidence(cover: BallCover) -> tuple[np.ndarray, np.ndarray]:
-    """The ball sizes and each ball's member row ids in turn, both intp: the one
-    flattening of members, for build_graph and the library summaries."""
-    sizes = np.fromiter(map(len, cover.members), dtype=np.intp, count=cover.n_balls)
-    rows = np.fromiter(chain.from_iterable(cover.members), dtype=np.intp, count=int(sizes.sum()))
-    return sizes, rows
+    nodes = tuple(map(GraphNode, cover.ball_ids, cover.sizes.tolist(), means))  # ball, size, mean
+    return MapperGraph(nodes, _overlap_edges(cover.rows, cover.sizes))
 
 
 def _by_size(sizes: np.ndarray, rows: np.ndarray):
@@ -142,11 +132,11 @@ def _ball_means(sizes: np.ndarray, rows: np.ndarray, cols: Sequence[np.ndarray])
 def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]:
     """Overlap edges, ascending by (source, target).
 
-    rows holds every ball's member row ids, ball after ball, and sizes the
-    ball sizes. Each point adds one to the shared count of every pair of balls holding
-    it. Points held by m balls form one m-wide table of ball ids, ascending
-    along each row; its column pairs are packed as source * (B + 1) + target
-    keys, whose order is the order of (source, target).
+    rows and sizes are a cover's: every ball's member row ids, ball after
+    ball, and the ball sizes. Each point adds one to the shared count of
+    every pair of balls holding it. Points held by m balls form one m-wide
+    table of ball ids, ascending along each row; its column pairs are packed
+    as source * (B + 1) + target keys, whose order is the order of (source, target).
     """
     stride = len(sizes) + 1
     balls = np.repeat(np.arange(1, stride, dtype=np.int64), sizes)

@@ -123,7 +123,11 @@ def compute_layout(
         [(index[e.source], index[e.target]) for e in graph.edges], dtype=int
     ).reshape(-1, 2)
 
-    pos = _simulate(pos, edge_index, repulsion, attraction, iterations)
+    try:  # a force that overflows would freeze its node, or make it nan
+        with np.errstate(over="raise"):
+            pos = _simulate(pos, edge_index, repulsion, attraction, iterations)
+    except FloatingPointError:
+        raise ValidationError("layout overflows float64: lower repulsion/attraction") from None
 
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)

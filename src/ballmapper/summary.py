@@ -21,7 +21,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .graph import _ball_means, _by_size, _incidence
+from .graph import _ball_means, _by_size
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
 from .point_cloud import distinct_names, write_csv
 
@@ -34,8 +34,8 @@ _CHUNK_ROWS = 4096
 _BLOCK_BYTES = 1 << 18
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-# Ball membership below the cover, (ids, sizes, rows): the ball ids ascending,
-# their sizes (intp), and each ball's member rows in turn, each ball's in file order.
+# Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
+# their intp sizes, and each ball's rows in turn, in file order; a cover gives 1..B and its own.
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -414,8 +414,8 @@ def ball_summary(
     Rows are indexed by the cover's member row ids, so the raw table must be
     the one the cover was built from.
     """
-    sizes, rows = _incidence(cover)
-    table = means_over_groups(raw, (np.arange(1, len(sizes) + 1), sizes, rows), variables)
+    groups = (np.arange(1, cover.n_balls + 1), cover.sizes, cover.rows)
+    table = means_over_groups(raw, groups, variables)
     if csv_path is not None:
         table.write(csv_path)
     return table
@@ -428,8 +428,8 @@ def variable_summary(
     csv_path=None,
 ) -> BallDistributionTable:
     """Distribution (mean, sd, quartiles, extremes) of one variable per ball."""
-    sizes, rows = _incidence(cover)
-    table = distribution_over_groups(raw, (np.arange(1, len(sizes) + 1), sizes, rows), variable)
+    groups = (np.arange(1, cover.n_balls + 1), cover.sizes, cover.rows)
+    table = distribution_over_groups(raw, groups, variable)
     if csv_path is not None:
         table.write(csv_path)
     return table

@@ -34,10 +34,25 @@ def line_cover(line_cloud):
     return bm.build_cover(line_cloud, 1.0)
 
 
+def cover_from_members(epsilon, landmarks, members, row_ids):
+    """A BallCover holding per-ball member tuples as build_cover stores them:
+    read-only intp sizes, and each ball's rows in turn."""
+    sizes = np.array([len(m) for m in members], dtype=np.intp)
+    rows = np.array([r for m in members for r in m], dtype=np.intp)
+    sizes.flags.writeable = rows.flags.writeable = False
+    return bm.BallCover(epsilon, landmarks, sizes, rows, row_ids)
+
+
+def cover_key(cover):
+    """What makes two covers the same cover; BallCover itself compares by identity."""
+    return cover.epsilon, cover.landmarks, cover.members, cover.row_ids
+
+
 def membership_matrix(cover):
     """Invert the cover: row id -> sorted list of ball ids containing it.
 
-    The loop build_graph once used, kept as an oracle for its incidence arrays.
+    The loop build_graph once used, kept as an oracle for the cover's
+    (sizes, rows) arrays as build_graph reads them.
     """
     containing = {r: [] for r in cover.row_ids}
     for ball, member_rows in enumerate(cover.members, start=1):

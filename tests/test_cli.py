@@ -22,7 +22,7 @@ from ballmapper.cli import RESULTS_HEADER, _write_merged_csv, _write_results_csv
 from ballmapper.errors import ValidationError
 from ballmapper.point_cloud import format_value, write_cells
 
-from conftest import laid_out_graphs
+from conftest import cover_from_members, laid_out_graphs
 
 
 def run_cli(args):
@@ -182,12 +182,13 @@ def merged_inputs(draw):
     rows = tuple(draw(st.lists(st.tuples(*[CSV_TEXT] * k), min_size=n, max_size=n)))
     subsets = st.sets(st.integers(0, n - 1), min_size=1).map(lambda m: tuple(sorted(m)))
     members = tuple(draw(st.lists(subsets, min_size=1, max_size=5)))
-    cover = bm.BallCover(1.0, tuple(m[0] for m in members), members, tuple(range(n)))
+    cover = cover_from_members(1.0, tuple(m[0] for m in members), members, tuple(range(n)))
     return bm.RawTable(names, rows), cover
 
 
 @given(merged_inputs())
-@example((bm.RawTable(("x",), (("",), ("a\nb",))), bm.BallCover(1.0, (0,), ((0, 1),), (0, 1))))
+@example((bm.RawTable(("x",), (("",), ("a\nb",))),
+          cover_from_members(1.0, (0,), ((0, 1),), (0, 1))))
 @settings(max_examples=200, deadline=None)
 def test_merged_csv_matches_reference_writer(tmp_path_factory, inputs):
     raw, cover = inputs
@@ -442,6 +443,7 @@ BAD_INPUT = {
     "attraction_negative": RUN_AUTO + ["--attraction", "-1"] + RUN_OUT,
     "repulsion_inf": RUN_AUTO + ["--repulsion", "inf"] + RUN_OUT,
     "attraction_inf": RUN_AUTO + ["--attraction", "inf"] + RUN_OUT,
+    "repulsion_overflows": RUN_AUTO + ["--repulsion", "1e308"] + RUN_OUT,
     "color_range_overflows": ["run", "-i", "{wide}", "--axes", "x", "-e", "1",
                               "--color", "c"] + RUN_OUT,
     "color_mean_overflows": ["run", "-i", "{huge}", "--axes", "x", "-e", "1",

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 import ballmapper as bm
 from ballmapper.errors import ValidationError
 
-from conftest import cover_inputs, membership_matrix, random_cloud
+from conftest import cover_from_members, cover_inputs, cover_key, membership_matrix
+from conftest import random_cloud
 
 
 def _cover_reference(cloud, epsilon, order="data", seed=0):
@@ -38,7 +41,8 @@ def _cover_reference(cloud, epsilon, order="data", seed=0):
         landmarks.append(int(row_ids[lm]))
         members.append(tuple(int(r) for r in row_ids[in_ball]))
 
-    return bm.BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
+    return cover_from_members(float(epsilon), tuple(landmarks), tuple(members),
+                              tuple(cloud.row_ids))
 
 
 def _cover_slab_reference(cloud, epsilon, order="data", seed=0):
@@ -74,7 +78,8 @@ def _cover_slab_reference(cloud, epsilon, order="data", seed=0):
         landmarks.append(int(row_ids[lm]))
         members.append(tuple(row_ids[in_ball].tolist()))
 
-    return bm.BallCover(float(epsilon), tuple(landmarks), tuple(members), tuple(cloud.row_ids))
+    return cover_from_members(float(epsilon), tuple(landmarks), tuple(members),
+                              tuple(cloud.row_ids))
 
 
 def brute_force_members(cloud, epsilon, landmark_row):
@@ -125,7 +130,7 @@ class TestBuildCover:
         cloud = bm.PointCloud(("x",), np.array([[0.0], [1e-170], [1e-150]]), (0, 1, 2))
         cover = bm.build_cover(cloud, 1e-200)
         assert cover.members == ((0, 1), (2,))
-        assert cover == _cover_reference(cloud, 1e-200)
+        assert cover_key(cover) == cover_key(_cover_reference(cloud, 1e-200))
 
     def test_gap_that_overflows_is_no_member_and_no_warning(self):
         cloud = bm.PointCloud(("x", "y"), np.array([[1e308, 0], [-1e308, 0], [1e308, 1]]),
@@ -150,7 +155,7 @@ class TestBuildCover:
         monkeypatch.setattr(np, "sqrt", counting_sqrt)
         cover = bm.build_cover(cloud, 1.0)
         monkeypatch.undo()
-        assert cover == _cover_reference(cloud, 1.0)
+        assert cover_key(cover) == cover_key(_cover_reference(cloud, 1.0))
         assert len(evaluated) == cover.n_balls
         assert sum(evaluated) <= 1.01 * sum(bm.ball_sizes(cover))
 
@@ -170,8 +175,8 @@ class TestBuildCover:
         a = bm.build_cover(cloud, 0.7, order="shuffle", seed=9)
         b = bm.build_cover(cloud, 0.7, order="shuffle", seed=9)
         c = bm.build_cover(cloud, 0.7, order="shuffle", seed=10)
-        assert a == b
-        assert a != c  # different permutation picks different landmarks
+        assert cover_key(a) == cover_key(b)
+        assert cover_key(a) != cover_key(c)  # different permutation picks different landmarks
 
     @given(cover_inputs())
     @settings(max_examples=200, deadline=None)
@@ -180,8 +185,8 @@ class TestBuildCover:
             warnings.simplefilter("error")
             cover = bm.build_cover(*inputs)
         with np.errstate(over="ignore"):  # the oracles warn on gaps that overflow
-            assert cover == _cover_reference(*inputs)
-            assert cover == _cover_slab_reference(*inputs)
+            assert cover_key(cover) == cover_key(_cover_reference(*inputs))
+            assert cover_key(cover) == cover_key(_cover_slab_reference(*inputs))
         assert all(type(r) is int for r in cover.landmarks)
         assert all(type(r) is int for m in cover.members for r in m)
 
@@ -190,7 +195,7 @@ class TestBuildCover:
         cloud = bm.gen_gaussian_cloud(2000, 3, seed=4)
         cover = bm.build_cover(cloud, 0.5, order=order, seed=8)
         assert cover.n_balls > 100
-        assert cover == _cover_reference(cloud, 0.5, order, 8)
+        assert cover_key(cover) == cover_key(_cover_reference(cloud, 0.5, order, 8))
 
     def test_repeat_runs_identical(self, auto_cover, auto_raw):
         cloud, _ = bm.validate_axes(
@@ -198,7 +203,43 @@ class TestBuildCover:
         )
         std, _ = bm.standardize(cloud)
         again = bm.build_cover(std, 1.5)
-        assert again == auto_cover
+        assert cover_key(again) == cover_key(auto_cover)
+
+
+class TestCoverStorage:
+    """The cover holds its membership once, as the (sizes, rows) arrays that the
+    graph, the summaries and the merged writer read."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(bm.BallCover)] == [
+            "epsilon", "landmarks", "sizes", "rows", "row_ids"]
+
+    def test_sizes_and_rows_are_read_only_intp(self, auto_cover):
+        for arr in (auto_cover.sizes, auto_cover.rows):
+            assert arr.dtype == np.intp
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        assert int(auto_cover.sizes.sum()) == len(auto_cover.rows)
+
+    def test_covers_compare_by_identity(self, line_cloud):
+        a, b = bm.build_cover(line_cloud, 1.0), bm.build_cover(line_cloud, 1.0)
+        assert a == a
+        assert a != b
+        assert cover_key(a) == cover_key(b)
+
+    def test_retains_under_16_bytes_per_membership(self):
+        # The 20k/K5/eps1 rung: 8 bytes per membership for rows, plus sizes
+        # and landmarks. Member tuples of Python ints took about 42.
+        cloud, _ = bm.standardize(bm.gen_gaussian_cloud(20000, 5, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cover = bm.build_cover(cloud, 1.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(bm.ball_sizes(cover)) == 58349
+        assert retained < 16 * 58349
 
 
 def cover_as_tuples(cover):

@@ -10,7 +10,7 @@ import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper.graph import default_palette
 
-from conftest import cover_inputs, membership_matrix, random_cloud
+from conftest import cover_from_members, cover_inputs, membership_matrix, random_cloud
 
 
 def _edges_reference(cover):
@@ -63,7 +63,8 @@ def test_color_means_match_per_ball_mean(seed, scale, sizes):
     row_ids = np.sort(rng.choice(10**6, size=n, replace=False))
     members = tuple(tuple(row_ids[np.sort(rng.choice(n, size=size, replace=False))].tolist())
                     for size in sizes)
-    cover = bm.BallCover(1.0, tuple(m[0] for m in members), members, tuple(row_ids.tolist()))
+    cover = cover_from_members(1.0, tuple(m[0] for m in members), members,
+                               tuple(row_ids.tolist()))
     if scale == "overflow":  # sums that overflow to inf or nan, left for assign_bins
         vals = rng.choice([1.7e308, -1.7e308, 1e308, 1.0], size=n)
     else:

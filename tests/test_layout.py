@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
+from ballmapper.errors import ValidationError
 from ballmapper.layout import _MIN_DIST, _TILE, STEP_END, STEP_START, _simulate
 
 
@@ -62,6 +64,20 @@ class TestComputeLayout:
         g = bm.build_graph(auto_cover)
         layout = bm.compute_layout(g, iterations=30)
         assert set(layout) == {n.ball for n in g.nodes}
+
+    @pytest.mark.parametrize("force", [{"repulsion": 1e308}, {"attraction": 1e308},
+                                       {"repulsion": 1e200}],
+                             ids=["repulsion", "attraction", "repulsion_squared"])
+    def test_forces_that_overflow_are_refused(self, auto_cover, force):
+        # At 1e308 the forces overflow to inf and then nan in every position,
+        # which the rescale would draw as one point at (0.5, 0.5). At 1e200 the
+        # forces are finite but their squares are not, so the step cap scales
+        # each move by step / inf = 0 and every node stays where it started.
+        g = bm.build_graph(auto_cover)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="layout overflows float64"):
+                bm.compute_layout(g, **force)
 
 
 class TestForceDynamics:
