@@ -15,16 +15,17 @@ from __future__ import annotations
 import argparse
 import errno
 import os
-import secrets
 import sys
 from itertools import islice
+
+import numpy as np
 
 from . import datagen, layout, render, summary
 from .cover import build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
-from .point_cloud import RawTable, format_floats, load_csv, standardize, validate_axes
-from .point_cloud import csv_lines, write_point_cloud_csv
+from .point_cloud import PointCloud, RawTable, format_floats, load_csv, standardize, validate_axes
+from .point_cloud import _read_plain, csv_lines, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -52,16 +53,18 @@ def _write_results_csv(path, graph, positions):
         f.writelines(lines)
 
 
-def _write_merged_csv(path, raw: RawTable, cover):
-    # Each input row is rendered once, after an empty field, so its text starts
-    # with the delimiter; each membership writes its ball id before that text.
-    tails = list(csv_lines(("",) + row for row in raw.rows))
+def _write_merged_csv(path, table, cover):
+    # table is (header, lines), each input row's text once: a plain input's own line, or
+    # a RawTable row by csv_lines after an empty cell, less its comma and LF.
+    if isinstance(table, RawTable):
+        table = table.column_names, [t[1:-1] for t in csv_lines(("",) + r for r in table.rows)]
+    header, lines = table
     rows = iter(cover.rows.tolist())
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.writelines(csv_lines([("ball",) + raw.column_names]))
+        f.writelines(csv_lines([("ball",) + header]))
         for ball, size in enumerate(cover.sizes.tolist(), start=1):
-            prefix = str(ball)
-            f.write(prefix + prefix.join(map(tails.__getitem__, islice(rows, size))))
+            head = f"{ball},"
+            f.write(head + f"\n{head}".join(map(lines.__getitem__, islice(rows, size))) + "\n")
 
 
 def _write_all_or_none(writers) -> None:
@@ -79,7 +82,7 @@ def _write_all_or_none(writers) -> None:
     try:
         for path, write in writers:
             head, tail = os.path.split(os.fspath(path))
-            tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+            tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
             try:
                 open(tmp, "x").close()  # claim the name with the usual permissions
                 temps.append(tmp)
@@ -116,17 +119,26 @@ def _write_text(path, text: str) -> None:
 # pairs, where write(path) fills one file, and the line to print once all of
 # them are in place. main does the refusing, writing and printing.
 def cmd_run(args: argparse.Namespace):
-    raw = load_csv(args.input)
-    if "ball" in raw.column_names:
-        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
-
-    cloud = validate_axes(raw, args.axes)[0]  # every row: drop_missing is off
+    # load_csv reads any input that _read_plain declines and makes every refusal
+    color = () if args.color in (None, *args.axes) else (args.color,)
+    plain = _read_plain(args.input, args.axes + color) if args.axes else None
+    if plain is None:
+        raw = load_csv(args.input)
+        if "ball" in raw.column_names:
+            raise ValidationError(
+                "input column 'ball' would clash with the merged CSV's ball column")
+        cloud = validate_axes(raw, args.axes)[0]  # every row: drop_missing is off
+        table, column = raw, raw.numeric_column
+    else:
+        table, column = plain[:2], plain[2].__getitem__  # (header, lines), columns by name
+        values = np.column_stack([column(a) for a in args.axes])
+        cloud = PointCloud(args.axes, values, tuple(range(len(values))))
     if args.standardize:
         cloud, std_spec = standardize(cloud)
         for name, mean, sd in zip(std_spec.columns, std_spec.means, std_spec.sds):
             print(f"standardized {name}: mean {mean:.6g}, sd {sd:.6g}")
 
-    color_values = None if args.color is None else raw.numeric_column(args.color)
+    color_values = None if args.color is None else column(args.color)
 
     cover = build_cover(cloud, args.epsilon, order=args.order, seed=args.seed)
     graph = build_graph(cover, color_values)
@@ -143,7 +155,7 @@ def cmd_run(args: argparse.Namespace):
     return [
         (args.svg, lambda p: _write_text(p, svg)),
         (args.results, lambda p: _write_results_csv(p, graph, positions)),
-        (args.merged, lambda p: _write_merged_csv(p, raw, cover)),
+        (args.merged, lambda p: _write_merged_csv(p, table, cover)),
     ], f"Ball mapper run complete: graph {args.svg}, results {args.results}, merged {args.merged}"
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -173,7 +173,8 @@ def assign_bins(
         )
     boundaries = tuple(lo + (hi - lo) * i / bin_count for i in range(bin_count + 1))
     scale = ColorScale(bin_count, boundaries, default_palette(bin_count))
-    nodes = tuple(replace(n, color_bin=scale.bin_for(n.color_mean)) for n in graph.nodes)
+    nodes = tuple(GraphNode(n.ball, n.size, n.color_mean, scale.bin_for(n.color_mean))
+                  for n in graph.nodes)
     return scale, MapperGraph(nodes, graph.edges)
 
 

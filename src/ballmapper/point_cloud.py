@@ -3,12 +3,16 @@
 CSV dialect: RFC-4180 style, header row mandatory, UTF-8, LF or CRLF accepted
 on input, always LF on output. Floats are written with the shortest
 representation that round-trips (integral values drop the trailing ``.0``).
+A plain file (_read_plain) is parsed by numpy's C reader; load_csv reads any
+other, makes every refusal and is the plain reader's oracle.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from types import SimpleNamespace
@@ -19,6 +23,10 @@ import numpy as np
 from .errors import ValidationError
 
 _CSV_BATCH = 4096  # rows csv_lines renders at a time
+# Bytes the plain-file reader checks at a time, and the bytes a plain file
+# may hold: printable ASCII but the quote, and LF.
+_BLOCK_BYTES = 1 << 18
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 def format_value(x) -> str:
@@ -213,6 +221,69 @@ def load_csv(path) -> RawTable:
     rows = _checked_rows(path)
     header = next(rows)
     return RawTable(header, tuple(map(tuple, rows)))
+
+
+class _NotPlain(Exception):
+    """A file holds a line the plain-file reader does not read."""
+
+
+def _plain_lines(f, limit: int) -> Iterator[list[str]]:
+    """The rest of plain binary file f as non-blank lines without LF, _BLOCK_BYTES at a
+    time; raises _NotPlain at the first block with a line longer than limit."""
+    rest = b""
+    for block in chain(iter(partial(f.read, _BLOCK_BYTES), b""), [b"\n"]):
+        data = rest + block
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        lines = list(filter(None, data[:cut].decode("ascii").split("\n")))
+        if len(rest) > limit or max(map(len, lines), default=0) > limit:
+            raise _NotPlain
+        yield lines
+
+
+def _read_plain(path, names: Sequence[str], merged: bool = False):
+    """(header, lines, columns) of a plain file by numpy's C reader, or None where it declines.
+
+    header holds the stripped names, lines each non-blank data line without its
+    LF unless the file is merged, and columns each of names' float64 column (and
+    a merged file's int64 'ball' ids). Only a merged file has a 'ball' column.
+    Plain means printable ASCII but '"', LF line ends, no line longer than
+    csv.field_size_limit(), a header that passes every header check and one
+    cell per name on each non-blank line: csv.reader's row is then the line
+    split at its commas, and numpy's int64 and float64 parses agree with int()
+    and float() on every cell they accept. It declines any other file, names
+    that repeat, hold 'ball' or are no column, and a file where numpy raises or
+    warns or a value is not finite; load_csv's path then makes any refusal.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as f:
+        if any(block.translate(None, _PLAIN_BYTES)  # a byte that is not plain
+               for block in iter(partial(f.read, _BLOCK_BYTES), b"")):
+            return None
+        f.seek(0)
+        line = f.readline(limit + 1)
+        if not line.endswith(b"\n"):
+            return None
+        header = tuple(h.strip() for h in line[:-1].decode("ascii").split(","))
+        if (not all(header) or len(set(header)) != len(header) or ("ball" in header) != merged
+                or len(set(names)) != len(names) or "ball" in names
+                or not set(names) <= set(header)):
+            return None
+        fields = {**dict.fromkeys(names, np.float64), **({"ball": np.int64} if merged else {})}
+        dtype = np.dtype([(h, fields.get(h, "S1")) for h in header])
+        try:
+            text = chain.from_iterable(_plain_lines(f, limit))
+            lines = None if merged else list(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # such as numpy's warning for no data rows
+                table = np.loadtxt(text if merged else lines, dtype=dtype, delimiter=",",
+                                   comments=None, ndmin=1)
+        except (_NotPlain, ValueError, OverflowError, Warning):
+            return None
+    columns = {name: table[name] for name in fields}
+    if not all(np.isfinite(columns[name]).all() for name in names):
+        return None
+    return header, lines, columns
 
 
 def distinct_names(names: Sequence[str], what: str) -> tuple[str, ...]:

@@ -7,15 +7,12 @@ undefined and serializes as an empty CSV field, never 0.
 """
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,16 +20,13 @@ from .cover import BallCover
 from .errors import ValidationError
 from .graph import _ball_means, _by_size
 from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
-from .point_cloud import distinct_names, write_csv
+from .point_cloud import _read_plain, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
-# Rows the streamed merged-CSV reader parses at a time; each chunk's text is
-# dropped once its ball ids and columns are parsed.
+# A plain merged CSV is read by point_cloud._read_plain, run's reader for its input;
+# any other is streamed, _CHUNK_ROWS rows at a time, each chunk's text dropped
+# once its ball ids and columns are parsed.
 _CHUNK_ROWS = 4096
-# Bytes the plain-file reader checks at a time, and the bytes a plain file
-# may hold: printable ASCII but the quote, and LF.
-_BLOCK_BYTES = 1 << 18
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
 # their intp sizes, and each ball's rows in turn, in file order; a cover gives 1..B and its own.
@@ -178,91 +172,13 @@ def ball_groups_from_merged(raw: RawTable) -> _Groups:
     return _groups(_ball_ids(list(map(itemgetter(raw.column_index("ball")), raw.rows))))
 
 
-class _NotPlain(Exception):
-    """A merged file holds a line the plain-file reader does not read."""
-
-
-def _plain_bytes(f) -> bool:
-    """Whether binary file f holds no byte outside _PLAIN_BYTES, read _BLOCK_BYTES at a time."""
-    return not any(block.translate(None, _PLAIN_BYTES)
-                   for block in iter(partial(f.read, _BLOCK_BYTES), b""))
-
-
-def _plain_lines(f, limit: int) -> Iterator[list[str]]:
-    """The lines of the rest of binary file f, whose bytes are plain, _BLOCK_BYTES at a time.
-
-    Yields each block's whole lines, without their LF; raises _NotPlain at
-    the first block that holds a line longer than limit.
-    """
-    rest = b""
-    while block := f.read(_BLOCK_BYTES):
-        data = rest + block
-        cut = data.rfind(b"\n") + 1
-        rest = data[cut:]
-        if len(rest) > limit:
-            raise _NotPlain
-        yield _short_lines(data[:cut], limit)
-    if rest:  # the last line has no newline
-        yield _short_lines(rest + b"\n", limit)
-
-
-def _short_lines(data: bytes, limit: int) -> list[str]:
-    """The lines of data, whole lines each ending in LF, if none is longer than limit."""
-    lines = data.decode("ascii").split("\n")[:-1]
-    if max(map(len, lines), default=0) > limit:
-        raise _NotPlain
-    return lines
-
-
-def _read_plain(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]] | None:
-    """_read_streamed's result by numpy's C reader, or None where it declines.
-
-    It reads only a plain file: printable ASCII but '"', lines ending in LF,
-    no line longer than csv.field_size_limit(), a header that passes every
-    header check, and one cell per header name on each non-blank line, which
-    numpy checks (a column no field needs is read into a one-byte string).
-    There csv.reader's row is the line split at its commas, so numpy's reader
-    gets the very cells. It declines any other file, 'ball' among the names,
-    and any file where numpy raises or warns or a parsed value is not finite:
-    the streamed reader then reads the file and makes any refusal. numpy's
-    int64 and float64 parses agree with int() and float() on every cell they
-    accept. Every byte is checked before numpy parses a line, so a file with
-    a quoted or non-ASCII cell anywhere is parsed once, by the streamed reader.
-    """
-    limit = csv.field_size_limit()
-    with open(path, "rb") as f:
-        if not _plain_bytes(f):
-            return None
-        f.seek(0)
-        line = f.readline(limit + 1)
-        if not line.endswith(b"\n"):
-            return None
-        header = [h.strip() for h in line[:-1].decode("ascii").split(",")]
-        if (not all(header) or len(set(header)) != len(header) or "ball" not in header
-                or "ball" in names or not set(names) <= set(header)):
-            return None
-        fields = {"ball": np.int64, **{name: np.float64 for name in names}}
-        dtype = np.dtype([(h, fields.get(h, "S1")) for h in header])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(chain.from_iterable(_plain_lines(f, limit)), dtype=dtype,
-                                   delimiter=",", comments=None, ndmin=1)
-        except (_NotPlain, ValueError, OverflowError, Warning):
-            return None
-    cols = {name: table[name] for name in names}
-    if not all(np.isfinite(col).all() for col in cols.values()):
-        return None
-    return _groups(table["ball"]), cols
-
-
 def _read_merged(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:
-    """The ball groups and the named columns, as float64, of a merged CSV file.
-
-    A plain file is read by numpy's C reader (_read_plain), any other by the
-    streamed reader; the result and every refusal are the streamed reader's.
-    """
-    return _read_plain(path, names) or _read_streamed(path, names)
+    """The ball groups and the named columns, as float64, of a merged CSV file: a
+    plain one read by numpy's C reader (_read_plain), any other by the streamed
+    reader, whose result the plain reader's equals and which makes every refusal."""
+    if (plain := _read_plain(path, names, merged=True)) is None:
+        return _read_streamed(path, names)
+    return _groups(plain[2].pop("ball")), plain[2]
 
 
 def _read_streamed(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:

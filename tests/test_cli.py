@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper import datagen, point_cloud, summary
+from ballmapper import cli, datagen, point_cloud, summary
 from ballmapper.cli import RESULTS_HEADER, _write_merged_csv, _write_results_csv, main
 from ballmapper.errors import ValidationError
 from ballmapper.point_cloud import format_value, write_cells
@@ -802,7 +802,7 @@ def test_streamed_reader_holds_floats_and_one_chunk_not_the_text(tmp_path, monke
     # the file above is plain, so numpy's parser reads it; here the streamed
     # reader, the only one for quoted, CRLF or BOM files, is held to the same bound
     read, calls = summary._read_streamed, []
-    monkeypatch.setattr(summary, "_read_plain", lambda path, names: None)
+    monkeypatch.setattr(summary, "_read_plain", lambda *args, **kwargs: None)
     monkeypatch.setattr(summary, "_read_streamed", lambda *args: calls.append(args) or read(*args))
     test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path)
     assert len(calls) == 1
@@ -860,10 +860,10 @@ def test_summaries_of_plain_files_match_the_streamed_reader(tmp_path_factory, me
     data, numeric, limit, fault = merged
     tmp = tmp_path_factory.mktemp("plain")
     (tmp / "m.csv").write_bytes(data)
-    read_plain, taken = summary._read_plain, []
+    read_plain, taken = point_cloud._read_plain, []
 
-    def counted(path, names):
-        result = read_plain(path, names)
+    def counted(path, names, **kwargs):
+        result = read_plain(path, names, **kwargs)
         taken.append(result is not None)
         return result
 
@@ -875,7 +875,7 @@ def test_summaries_of_plain_files_match_the_streamed_reader(tmp_path_factory, me
         # every command but variable-summary of 'ball' takes a fault-free file's fast path
         assert fault is not None or taken == [True] * (len(numeric) + 1) + [False]
         with pytest.MonkeyPatch.context() as mp:  # the streamed reader alone
-            mp.setattr(summary, "_read_plain", lambda path, names: None)
+            mp.setattr(summary, "_read_plain", lambda *args, **kwargs: None)
             assert _cli_summaries(str(tmp / "m.csv"), tmp / "streamed", numeric) == got
     finally:
         csv.field_size_limit(old_limit)
@@ -895,3 +895,143 @@ def test_lone_carriage_return_round_trips_through_both_summaries(tmp_path, capsy
     assert (tmp_path / "means.csv").read_text() == "ball,x,size\n1,1,1\n2,2,1\n"
     assert (tmp_path / "x.csv").read_text().splitlines()[1:] == ["1,1,,1,1,1,1,1,1",
                                                                   "2,2,,2,2,2,2,2,1"]
+
+
+# ------------------------------------------ run's plain input read by numpy's parser
+
+RUN_NUMBER_CELL = st.one_of(NUMBER_CELL, st.sampled_from(
+    ["-0", "0", "+4", "07", "3.0", "-12.000", "1e3", "-2.5E-2", "4e+0", " 5 "]))
+
+
+def _cli_run(inp, out, extra):
+    """run's exit code, stdout and stderr (out as OUT) and its outputs' bytes through cli.main."""
+    out.mkdir()
+    argv = ["run", "-i", inp, "--iterations", "2", *extra, "--svg", out / "g.svg",
+            "--results", out / "r.csv", "--merged", out / "m.csv"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(argv)
+    files = [p.read_bytes() if p.exists() else None for p in (out / "g.svg", out / "r.csv",
+                                                              out / "m.csv")]
+    return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
+
+
+def _run_both_ways(inp, tmp, extra):
+    """_cli_run through the plain reader, then with the reader forced to decline;
+    returns both results, whether the reader read the file, and load_csv's calls."""
+    read_plain, load, taken, loads = point_cloud._read_plain, point_cloud.load_csv, [], []
+
+    def counted(*args, **kwargs):
+        result = read_plain(*args, **kwargs)
+        taken.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_read_plain", counted)
+        mp.setattr(cli, "load_csv", lambda path: loads.append(path) or load(path))
+        got = _cli_run(inp, tmp / "either", extra)
+    with pytest.MonkeyPatch.context() as mp:  # load_csv's path alone
+        mp.setattr(cli, "_read_plain", lambda *args, **kwargs: None)
+        want = _cli_run(inp, tmp / "fallback", extra)
+    return got, want, taken, loads
+
+
+@st.composite
+def plain_inputs(draw):
+    """A plain input CSV's bytes and run's flags: one to three axes, maybe a
+    color column, text columns, names padded with spaces, blank lines, and a
+    last line that may lack its LF."""
+    axes = tuple(f"x{j}" for j in range(draw(st.integers(1, 3))))
+    color = draw(st.sampled_from([None, "c", axes[0]]))
+    names = axes + (("c",) if color == "c" else ()) + tuple(
+        f"t{j}" for j in range(draw(st.integers(0, 2))))
+    header = draw(st.permutations(names))
+    cells = {name: RUN_NUMBER_CELL for name in axes + ("c",)}
+    rows = draw(st.lists(st.tuples(*[cells.get(h, PLAIN_TEXT) for h in header]),
+                         min_size=1, max_size=25))
+    lines = [",".join(draw(st.sampled_from(["{}", " {}", "{} "])).format(h) for h in header)]
+    lines += [",".join(row) for row in rows]
+    for i in sorted(draw(st.sets(st.integers(1, len(lines)))), reverse=True):
+        lines.insert(i, "")
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    flags = ["--axes", ",".join(axes), "-e", repr(draw(st.sampled_from([0.5, 1.0, 3.0])))]
+    flags += ["--color", color] if color else []
+    flags += ["--standardize"] if draw(st.booleans()) else []
+    return text.encode(), flags
+
+
+@given(plain_inputs())
+@example((b"x\n1", ["--axes", "x", "-e", "1"]))
+@example((b"x, t\n\n-0,a\n\n1e3,b #\n\n", ["--axes", "x", "-e", "1", "--color", "x"]))
+@settings(max_examples=150, deadline=None)
+def test_run_on_plain_input_matches_load_csv_path(tmp_path_factory, inputs):
+    data, flags = inputs
+    tmp = tmp_path_factory.mktemp("plain_run")
+    (tmp / "in.csv").write_bytes(data)
+    got, want, taken, loads = _run_both_ways(tmp / "in.csv", tmp, flags)
+    assert got == want
+    assert taken == [True] and loads == []  # the plain path, and load_csv never called
+
+
+def test_run_on_plain_input_keeps_row_ids_over_blank_lines(tmp_path):
+    (tmp_path / "in.csv").write_text("x,t\n\n0,a\n\n\n5,b\n0.2,c\n")
+    got, want, taken, _ = _run_both_ways(tmp_path / "in.csv", tmp_path, ["--axes", "x", "-e", "1"])
+    assert got == want and taken == [True]
+    assert got[3][2] == b"ball,x,t\n1,0,a\n1,0.2,c\n2,5,b\n"
+
+
+PLAIN_RUN = "x,y,c,t\n1,2,3,a\n4,5,6,b\n7,8.5,9,c\n"
+RUN_DECLINED = {  # name: (input text, flags, exit code), each declined by the plain reader
+    "crlf": (PLAIN_RUN.replace("\n", "\r\n"), [], 0),
+    "quoted": (PLAIN_RUN.replace(",b\n", ',"b,d"\n'), [], 0),
+    "quoted_axis": (PLAIN_RUN.replace("4,5", '"4",5'), [], 0),
+    "non_ascii": (PLAIN_RUN.replace(",b\n", ",é\n"), [], 0),
+    "bom": ("﻿" + PLAIN_RUN, [], 0),
+    "nan": (PLAIN_RUN.replace("4,5", "nan,5"), [], 1),
+    "inf_color": (PLAIN_RUN.replace("5,6", "5,-inf"), [], 1),
+    "empty_cell": (PLAIN_RUN.replace("4,5", "4,"), [], 1),
+    "non_numeric_axis": (PLAIN_RUN.replace("8.5", "foo"), [], 1),
+    "non_numeric_color": (PLAIN_RUN.replace("5,6", "5,bar"), [], 1),
+    "ball_in_header": (PLAIN_RUN.replace(",t\n", ",ball\n", 1), [], 1),
+    "short_row": (PLAIN_RUN.replace("4,5,6,b", "4,5,6"), [], 1),
+    "short_row_and_repeated_axis": (PLAIN_RUN.replace("4,5,6,b", "4,5,6"),
+                                    ["--axes", "x,x"], 1),
+    "whitespace_line": (PLAIN_RUN.replace("b\n", "b\n  \n"), [], 1),
+    "repeated_axis": (PLAIN_RUN, ["--axes", "x,x"], 1),
+    "no_axis": (PLAIN_RUN, ["--axes", ","], 1),
+    "unknown_axis": (PLAIN_RUN, ["--axes", "x,z"], 1),
+    "unknown_color": (PLAIN_RUN, ["--color", "z"], 1),
+    "no_data_rows": ("x,y,c,t\n\n", [], 1),
+    "empty_file": ("", [], 1),
+    "over_limit": (PLAIN_RUN.replace(",b\n", "," + "b" * 150 + "\n"), [], 0),
+}
+
+
+@pytest.mark.parametrize("text, flags, code", RUN_DECLINED.values(), ids=RUN_DECLINED.keys())
+def test_run_declined_input_takes_load_csv_path(text, flags, code, tmp_path):
+    (tmp_path / "in.csv").write_bytes(text.encode())
+    flags = ["--axes", "x,y", "-e", "2", "--color", "c"] + flags  # later flags win
+    old_limit = csv.field_size_limit(155)  # every field within it, not every line
+    try:
+        got, want, taken, loads = _run_both_ways(tmp_path / "in.csv", tmp_path, flags)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want
+    assert True not in taken and len(loads) == 1  # no axis: the reader is not asked
+    assert got[0] == code and got[2].count("\n") == (code != 0)
+    assert got[2].startswith("error: ") or code == 0
+
+
+def test_run_refusals_keep_their_order_after_standardize(tmp_path, capsys):
+    # the color column is parsed after the axes are standardized, on either path
+    for i, (text, code, printed, error) in enumerate([
+        ("x,y,c\n1,5,3\n2,5,bad\n", 1, 0, "error: column 'y' has zero variance\n"),
+        ("x,y,c\n1,5,3\n2,6,bad\n", 1, 2, "error: non-numeric cell 'bad' in column 'c' at row 1\n"),
+        ("x,y,c\n1,5,3\n2,6,4\n", 0, 3, ""),
+    ]):
+        (tmp_path / f"in{i}.csv").write_text(text)
+        assert run_cli(["run", "-i", tmp_path / f"in{i}.csv", "--axes", "x,y", "-e", "1",
+                        "--standardize", "--color", "c", "--svg", tmp_path / "g.svg",
+                        "--results", tmp_path / "r.csv", "--merged", tmp_path / "m.csv"]) == code
+        out, err = capsys.readouterr()
+        assert out.count("\n") == printed and err == error

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
-from ballmapper import summary
+from ballmapper import point_cloud, summary
 from ballmapper.errors import ValidationError
 from ballmapper.graph import _ball_means, _by_size
 
@@ -469,6 +469,12 @@ READ = {  # name: a change to the lines that leaves the file plain
 }
 
 
+def _read_plain_merged(path, names):
+    """The plain reader's result for a merged file in _read_streamed's form, or None."""
+    plain = point_cloud._read_plain(path, names, merged=True)
+    return plain and (summary._groups(plain[2].pop("ball")), plain[2])
+
+
 def _merged_file(tmp_path, change):
     lines = _gauss5_lines()
     change(lines)
@@ -488,7 +494,7 @@ def field_limit_300():
 def test_plain_reader_reads_gauss5_shaped_file_as_streamed(change, tmp_path, field_limit_300):
     path = _merged_file(tmp_path, change)
     for names in (GAUSS5_NAMES, ("c",)):
-        got, want = summary._read_plain(path, names), summary._read_streamed(path, names)
+        got, want = _read_plain_merged(path, names), summary._read_streamed(path, names)
         assert got is not None
         assert [a.tolist() for a in got[0]] == [a.tolist() for a in want[0]]  # ids, sizes, rows
         assert all(got[1][n].tobytes() == want[1][n].tobytes() for n in names)
@@ -497,11 +503,11 @@ def test_plain_reader_reads_gauss5_shaped_file_as_streamed(change, tmp_path, fie
 @pytest.mark.parametrize("change", DECLINED.values(), ids=DECLINED.keys())
 def test_plain_reader_declines_each_feature(change, tmp_path, field_limit_300):
     path = _merged_file(tmp_path, change)
-    assert summary._read_plain(path, GAUSS5_NAMES) is None
+    assert _read_plain_merged(path, GAUSS5_NAMES) is None
 
 
 def test_plain_reader_declines_ball_as_variable(tmp_path):
-    assert summary._read_plain(_merged_file(tmp_path, READ["none"]), ("ball",)) is None
+    assert _read_plain_merged(_merged_file(tmp_path, READ["none"]), ("ball",)) is None
 
 
 @pytest.mark.parametrize("header", [
@@ -512,26 +518,26 @@ def test_plain_reader_declines_ball_as_variable(tmp_path):
 def test_plain_reader_declines_each_header_fault(header, tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(header + "\n1,2,3,4\n")
-    assert summary._read_plain(path, ("x2",)) is None
+    assert _read_plain_merged(path, ("x2",)) is None
 
 
 @pytest.mark.parametrize("name", ["quote", "lone_cr", "crlf", "nul", "non_ascii"])
 def test_plain_reader_declines_a_late_byte_before_numpy_parses(name, tmp_path, monkeypatch):
     # the byte sits in the file's second block, so such a file is parsed only once
     path = _merged_file(tmp_path, DECLINED[name])
-    assert len("\n".join(_gauss5_lines()[:1 + INJECT_AT])) > summary._BLOCK_BYTES
+    assert len("\n".join(_gauss5_lines()[:1 + INJECT_AT])) > point_cloud._BLOCK_BYTES
 
     def parse(*args, **kwargs):
         raise AssertionError("numpy parsed a file that is not plain")
     monkeypatch.setattr(np, "loadtxt", parse)
-    assert summary._read_plain(path, GAUSS5_NAMES) is None
+    assert _read_plain_merged(path, GAUSS5_NAMES) is None
 
 
 def test_plain_reader_stops_reading_at_a_line_over_the_limit():
-    f = io.BytesIO(b"1,2\n" + b"9" * (10 * summary._BLOCK_BYTES) + b"\n")
-    with pytest.raises(summary._NotPlain):
-        list(summary._plain_lines(f, 1000))
-    assert f.tell() == summary._BLOCK_BYTES  # the long line is not read to its end
+    f = io.BytesIO(b"1,2\n" + b"9" * (10 * point_cloud._BLOCK_BYTES) + b"\n")
+    with pytest.raises(point_cloud._NotPlain):
+        list(point_cloud._plain_lines(f, 1000))
+    assert f.tell() == point_cloud._BLOCK_BYTES  # the long line is not read to its end
 
 
 # decimal text as a merged CSV holds it: repr of a float, or digits, point and exponent
