@@ -32,54 +32,66 @@ def _simulate(
 ) -> np.ndarray:
     """Run the force loop on raw coordinates (no normalization).
 
-    The repulsion is computed for _TILE columns i at a time, on B x T float64
-    planes allocated once: dx[j, k] and dy[j, k] hold pos[i] - pos[j] per axis
-    for i = s + k, scale[j, k] the repulsion weight of the pair, and tmp their
-    products.
+    The repulsion is computed for _TILE columns i at a time. Each round copies
+    the positions once into a (2, B) array pt. Per tile, one subtraction fills
+    the (2, B, T) difference plane diff[a, j, k] = pt[a, i] - pt[a, j] for
+    i = s + k; one einsum sums its squares over the axes a into d2[j, k], the
+    pair's squared distance, which is then turned in place into the pair's
+    repulsion weight; a second einsum sums diff[a, j, k] * weight[j, k] over
+    the rows j into node i's push along both axes.
+
+    A squared distance or a force sum that overflows raises FloatingPointError,
+    whatever the numpy error state: einsum sets no floating-point flag, so its
+    results are checked for non-finite values instead.
     """
     pos = np.array(pos, dtype=float)
     n = pos.shape[0]
     width = min(n, _TILE)
-    dx = np.empty((n, width))
-    dy = np.empty((n, width))
-    scale = np.empty((n, width))
-    tmp = np.empty((n, width))
-    coincident = np.empty((n, width), dtype=bool)
+    diff = np.empty((2, n, width))
+    d2 = np.empty((n, width))
+    push = np.empty((2, n))
     # Every block is a full `width` columns wide: the last one starts at
     # n - width and recomputes columns an earlier block already wrote, with
     # the same result. A block one column wide would be reduced by numpy's
     # pairwise summation instead of row by row, and change the bits.
     starts = [*range(0, n - width, width), n - width]
-    disp = np.empty((n, 2))
     for t in range(iterations):
         if iterations > 1:
             step = STEP_START + (STEP_END - STEP_START) * t / (iterations - 1)
         else:
             step = STEP_START
 
-        x = pos[:, 0]
-        y = pos[:, 1]
+        pt = np.ascontiguousarray(pos.T)
+        # No d2 can overflow unless the positions span more than sqrt(DBL_MAX);
+        # a layout's never do, as each round moves a node by at most the step.
+        sx, sy = (pt.max(axis=1) - pt.min(axis=1)).tolist()
+        wide = math.isinf(sx * sx + sy * sy)
         for s in starts:
             e = s + width
-            np.subtract(x[None, s:e], x[:, None], out=dx)
-            np.subtract(y[None, s:e], y[:, None], out=dy)
-            np.multiply(dx, dx, out=scale)
-            np.multiply(dy, dy, out=tmp)
-            np.add(scale, tmp, out=scale)  # squared distance d2
-            np.less_equal(scale, _MIN_DIST ** 2, out=coincident)
-            np.maximum(scale, _MIN_DIST ** 2, out=scale)
-            np.divide(repulsion, scale, out=scale)
-            np.copyto(scale, 0.0, where=coincident)  # also node i on itself: d2 = 0
-            # Node i's push is the sum over j of (pos[i] - pos[j]) * scale,
-            # added one j after another. Reducing over axis 0 adds the rows in
-            # exactly that order, which keeps positions, and so the golden
-            # output pins, bitwise unchanged; a reduction over axis 1 would
-            # sum pairwise.
-            np.multiply(dx, scale, out=tmp)
-            np.sum(tmp, axis=0, out=disp[s:e, 0])
-            np.multiply(dy, scale, out=tmp)
-            np.sum(tmp, axis=0, out=disp[s:e, 1])
+            np.subtract(pt[:, None, s:e], pt[:, :, None], out=diff)
+            # einsum, not np.dot/matmul or tensordot: those call BLAS, which
+            # blocks and reorders the sums. einsum adds the terms in index
+            # order, here dx * dx + dy * dy and the rows j one after another,
+            # which gives the bits of the row-order reduction exactly.
+            np.einsum("ajk,ajk->jk", diff, diff, out=d2)
+            if wide and np.isinf(d2).any():
+                raise FloatingPointError("overflow encountered in einsum")
+            # Node i on itself: the weight r / inf = +0 is the +0 the mask
+            # below would give, so one min tells whether any other pair is
+            # coincident, and the mask only runs when one is.
+            np.fill_diagonal(d2[s:e], np.inf)
+            if d2.min() <= _MIN_DIST ** 2:  # coincident nodes exert no repulsion
+                coincident = d2 <= _MIN_DIST ** 2
+                np.maximum(d2, _MIN_DIST ** 2, out=d2)
+                np.divide(repulsion, d2, out=d2)
+                np.copyto(d2, 0.0, where=coincident)
+            else:
+                np.divide(repulsion, d2, out=d2)
+            np.einsum("ajk,jk->ak", diff, d2, out=push[:, s:e])
+        if not np.isfinite(push).all():
+            raise FloatingPointError("overflow encountered in einsum")
 
+        disp = push.T
         if edge_index.size:
             delta = pos[edge_index[:, 0]] - pos[edge_index[:, 1]]
             pull = attraction * delta

@@ -194,7 +194,7 @@ class TestSimulateMatchesReference:
         args = (edge_index, 0.05, 0.01, 3)
         assert np.array_equal(_simulate(pos, *args), _simulate_reference(pos, *args))
 
-    @pytest.mark.parametrize("n", [3, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129])
     def test_tile_edges(self, n):
         """Graphs smaller than, equal to and one past a multiple of the tile width."""
         rng = np.random.default_rng(n)
@@ -204,6 +204,43 @@ class TestSimulateMatchesReference:
         args = (edge_index, 0.05, 0.01, 4)
         assert np.array_equal(_simulate(pos, *args), _simulate_reference(pos, *args))
 
+    @pytest.mark.parametrize("pos, repulsion", [
+        # each product finite, node 0's x sum not
+        ([(0.0, 0.0), (-0.76, -0.4), (-0.76, 0.4)], 1e308),
+        # the outer nodes' sums overflow to -inf and +inf, the middle one's is
+        # 0: no square of a push overflows, so only a check of the sums refuses
+        ([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 1.5e308),
+        # each squared axis finite, their sum not: the pair's weight would be
+        # r / inf = 0, and every push finite
+        ([(0.0, 0.0), (1e154, 1e154), (0.0, 1.0)], 0.05),
+    ], ids=["force_sum", "force_sums_to_infinities", "squared_distance"])
+    def test_overflowing_sum_raises(self, pos, repulsion):
+        args = (np.array(pos), np.empty((0, 2), dtype=int), repulsion, 0.01, 1)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in reduce"):
+                _simulate_reference(*args)
+            with pytest.raises(FloatingPointError):
+                _simulate(*args)
+
+    @given(force_inputs(), st.floats(-4.0, 308.0), st.floats(-4.0, 308.0))
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_when_reference_raises(self, inputs, log_rep, log_att):
+        """Forces log-uniform up to 1e308: einsum sets no overflow flag, so
+        _simulate must find every overflow the reference's ufuncs report."""
+        pos, edge_index, _, _, iterations = inputs
+        args = (pos, edge_index, 10.0 ** log_rep, 10.0 ** log_att, iterations)
+        outcomes = []
+        for simulate in (_simulate, _simulate_reference):
+            with np.errstate(over="raise"):
+                try:
+                    outcomes.append(simulate(*args))
+                except FloatingPointError:
+                    outcomes.append(None)
+        got, want = outcomes
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
     def test_input_positions_untouched(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
         before = pos.copy()
@@ -212,7 +249,7 @@ class TestSimulateMatchesReference:
 
 
 def test_scratch_memory_bounded():
-    """Peak scratch memory is O(B * _TILE): within six B x _TILE float64 planes."""
+    """Peak scratch memory is O(B * _TILE): within four B x _TILE float64 planes."""
     n = 2000
     ring = np.array([(i, (i + 1) % n) for i in range(n)])
     angles = 2.0 * np.pi * np.arange(n) / n
@@ -223,4 +260,39 @@ def test_scratch_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * _TILE * n
+    assert peak <= 4 * 8 * _TILE * n
+
+
+@st.composite
+def einsum_operands(draw):
+    """A (2, H, T) difference plane and an (H, T) weight plane whose values
+    span most of float64's exponents, subnormals included, but whose products
+    and column sums stay finite."""
+    width = draw(st.sampled_from([2, 3, 17, 63, 64]))
+    height = draw(st.integers(2, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def plane(*shape):
+        magnitude = rng.uniform(1.0, 2.0, size=shape) * np.exp2(rng.integers(-540, 500, size=shape))
+        return rng.choice([-1.0, 1.0], size=shape) * magnitude
+
+    return plane(2, height, width), plane(height, width)
+
+
+@given(einsum_operands())
+@settings(max_examples=150, deadline=None)
+def test_numpy_einsum_is_multiply_add_bit_for_bit(operands):
+    """_simulate's two einsums against the ufunc forms it replaced: dx * dx +
+    dy * dy, and each axis's products summed over the rows by sum(axis=0),
+    which adds the rows one after another. A numpy build whose einsum fuses
+    the multiply-add or reorders the sum fails here, and so would the pins."""
+    diff, weight = operands
+    width = diff.shape[2]
+    d2 = np.empty(weight.shape)
+    np.einsum("ajk,ajk->jk", diff, diff, out=d2)
+    want = np.add(np.multiply(diff[0], diff[0]), np.multiply(diff[1], diff[1]))
+    assert d2.view(np.int64).tolist() == want.view(np.int64).tolist()
+    push = np.empty((2, width + 3))  # written through a strided view, as _simulate does
+    np.einsum("ajk,jk->ak", diff, weight, out=push[:, 1:width + 1])
+    want = np.stack([np.multiply(diff[a], weight).sum(axis=0) for a in range(2)])
+    assert push[:, 1:width + 1].view(np.int64).tolist() == want.view(np.int64).tolist()
