@@ -2,8 +2,7 @@
 study the data through the resulting overlap graph."""
 
 from .cover import BallCover, ball_sizes, build_cover
-from .datagen import XDatasetSpec, gen_gaussian_cloud, gen_x_dataset
-from .datasets import auto_csv_path
+from .datagen import XDatasetSpec, auto_csv_path, gen_gaussian_cloud, gen_x_dataset
 from .errors import ValidationError
 from .graph import (
     ColorScale,

@@ -1,4 +1,4 @@
-"""Synthetic benchmark datasets: Gaussian clouds and the cross-shaped cloud.
+"""Datasets: Gaussian clouds, the cross-shaped cloud and the bundled auto data.
 
 All generation runs on numpy's PCG64 generator seeded explicitly, with draws
 in a fixed documented order, so a given seed always produces byte-identical
@@ -7,6 +7,7 @@ CSV output from this package version.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class XDatasetSpec:
     """
 
     seed: int = 0
+
+
+def auto_csv_path() -> str:
+    """Path of the bundled 74-row 1978 automobile dataset."""
+    return str(files("ballmapper").joinpath("data/auto.csv"))
 
 
 def _rng(seed: int) -> np.random.Generator:

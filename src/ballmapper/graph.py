@@ -12,6 +12,9 @@ from .cover import BallCover
 from .errors import ValidationError
 
 DEFAULT_BIN_COUNT = 8
+# The legend rows that fit the 640 px graph canvas: a row's 14 px swatch starts
+# 20 px below the one above it, the first at y 30, so (640 - 30 - 14) // 20 + 1.
+MAX_BIN_COUNT = 30
 # Documented palette endpoints: low bins blue, high bins red.
 PALETTE_LOW = (0x2C, 0x4F, 0xD8)
 PALETTE_HIGH = (0xD8, 0x2C, 0x2C)
@@ -159,8 +162,8 @@ def assign_bins(
     graph: MapperGraph, bin_count: int = DEFAULT_BIN_COUNT
 ) -> tuple[ColorScale, MapperGraph]:
     """Attach a color bin to every node; requires color means on the graph."""
-    if bin_count < 1:
-        raise ValidationError("bin_count must be positive")
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise ValidationError(f"bin_count must be from 1 to {MAX_BIN_COUNT}, the legend's rows")
     if any(n.color_mean is None for n in graph.nodes):
         raise ValueError("graph has no color means to bin")
 

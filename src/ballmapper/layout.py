@@ -56,11 +56,7 @@ def _simulate(
     # pairwise summation instead of row by row, and change the bits.
     starts = [*range(0, n - width, width), n - width]
     for t in range(iterations):
-        if iterations > 1:
-            step = STEP_START + (STEP_END - STEP_START) * t / (iterations - 1)
-        else:
-            step = STEP_START
-
+        step = STEP_START + (STEP_END - STEP_START) * t / max(iterations - 1, 1)
         pt = np.ascontiguousarray(pos.T)
         # No d2 can overflow unless the positions span more than sqrt(DBL_MAX);
         # a layout's never do, as each round moves a node by at most the step.
@@ -114,8 +110,9 @@ def compute_layout(
 ) -> dict[int, tuple[float, float]]:
     """Place nodes: the (x, y) of each ball id, rescaled per axis into the unit square.
 
-    A single node sits at the origin. An axis with no spread collapses to the
-    midline 0.5 instead of dividing by zero.
+    A single node sits at the origin. An axis with no spread, one whose nodes
+    span at most _MIN_DIST (rounding noise, as in the sin(pi) of a two-node
+    start), collapses to the midline 0.5 instead of being stretched to [0, 1].
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot lay out an empty graph")
@@ -142,13 +139,6 @@ def compute_layout(
         raise ValidationError("layout overflows float64: lower repulsion/attraction") from None
 
     lo = pos.min(axis=0)
-    hi = pos.max(axis=0)
-    span = hi - lo
-    out = np.empty_like(pos)
-    for axis in range(2):
-        if span[axis] > 0:
-            out[:, axis] = (pos[:, axis] - lo[axis]) / span[axis]
-        else:
-            out[:, axis] = 0.5
-
+    span = pos.max(axis=0) - lo
+    out = np.divide(pos - lo, span, out=np.full_like(pos, 0.5), where=span > _MIN_DIST)
     return {b: (float(out[i, 0]), float(out[i, 1])) for b, i in index.items()}

@@ -91,6 +91,21 @@ def _cell_or_nan(cell: str) -> float:
         return math.nan
 
 
+def _held_column(raw: RawTable, name: str, rows: np.ndarray) -> np.ndarray:
+    """Column name of raw as float64; refuses a missing or non-numeric cell in
+    one of the rows, with the first such row in the error, and ignores the rest."""
+    j = raw.column_index(name)
+    col = _parse_column(raw.rows, j)
+    bad = np.flatnonzero(~np.isfinite(col))
+    if len(bad):
+        held = np.zeros(len(col), dtype=bool)
+        held[rows] = True
+        bad = bad[held[bad]]
+        if len(bad):
+            _parse_cell(raw.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
+    return col
+
+
 def _column_position(names: tuple[str, ...], name: str) -> int:
     """Where name sits among the column names; refuses a name not among them."""
     if name not in names:
@@ -110,12 +125,7 @@ class RawTable:
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Parse one column as float64, rejecting missing or non-numeric cells."""
-        j = self.column_index(name)
-        col = _parse_column(self.rows, j)
-        bad = np.flatnonzero(~np.isfinite(col))
-        if len(bad):
-            _parse_cell(self.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
-        return col
+        return _held_column(self, name, np.arange(len(self.rows)))
 
 
 @dataclass(frozen=True)

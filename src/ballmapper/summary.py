@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ import numpy as np
 from .cover import BallCover
 from .errors import ValidationError
 from .graph import _ball_means, _by_size
-from .point_cloud import RawTable, _checked_rows, _column_position, _parse_cell, _parse_column
-from .point_cloud import _read_plain, distinct_names, write_csv
+from .point_cloud import RawTable, _checked_rows, _column_position, _held_column, _parse_cell
+from .point_cloud import _parse_column, _read_plain, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
 # A plain merged CSV is read by point_cloud._read_plain, run's reader for its input;
@@ -66,9 +66,7 @@ def _order_statistics(n: int, p: float) -> tuple[int, int]:
 def _quantiles(rows: np.ndarray, p: float) -> np.ndarray:
     """quantile of each row of a (balls x size) array of ascending rows."""
     i, j = _order_statistics(rows.shape[1], p)
-    if i == j:
-        return rows[:, i]
-    a, b = rows[:, i], rows[:, j]
+    a, b = rows[:, i], rows[:, j]  # a == b gives a, by either rule
     mid = (a + b) / 2.0
     return np.where(np.isinf(mid), a / 2.0 + b / 2.0, mid)
 
@@ -113,30 +111,20 @@ class BallDistributionTable:
     rows: tuple[BallDistributionRow, ...]
 
     def write(self, path) -> None:
-        header = ("ball", "mean", "sd", "min", "q25", "q50", "q75", "max", "size")
-        write_csv(
-            path,
-            header,
-            [
-                (
-                    r.ball,
-                    r.mean,
-                    "" if r.sd is None else r.sd,
-                    r.min,
-                    r.q25,
-                    r.q50,
-                    r.q75,
-                    r.max,
-                    r.size,
-                )
-                for r in self.rows
-            ],
-        )
+        header = [f.name for f in fields(BallDistributionRow)]
+        cells = attrgetter(*header)
+        write_csv(path, header, [["" if c is None else c for c in cells(r)] for r in self.rows])
 
 
-def _overflow(stat: str, variable: str, ball: int) -> ValidationError:
-    """The refusal of a statistic that a float64 overflow made inf or nan."""
-    return ValidationError(f"the {stat} of {variable!r} in ball {ball} overflows float64")
+def _refuse_overflow(ids: np.ndarray, stats: np.ndarray, names: Sequence[tuple[str, str]]) -> None:
+    """Refuse a statistic that a float64 overflow made inf or nan. stats holds one
+    (stat, variable) of names per row and one ball of ids per column; the error
+    names the first ball, then its first such statistic."""
+    bad = ~np.isfinite(stats)
+    if bad.any():
+        i, k = np.argwhere(bad.T)[0].tolist()  # argwhere walks in row-major order
+        stat, variable = names[k]
+        raise ValidationError(f"the {stat} of {variable!r} in ball {ids[i]} overflows float64")
 
 
 def _is_int64(cell: str) -> bool:
@@ -227,22 +215,6 @@ def _read_streamed(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.nd
     }
 
 
-def _held_column(raw: RawTable, name: str, rows: np.ndarray) -> np.ndarray:
-    """Column name as float64; refuses a missing or non-numeric cell that some
-    ball holds (its row is among rows), with the first such row in the error,
-    and ignores the rest."""
-    j = raw.column_index(name)
-    col = _parse_column(raw.rows, j)
-    bad = np.flatnonzero(~np.isfinite(col))
-    if len(bad):
-        held = np.zeros(len(col), dtype=bool)
-        held[rows] = True
-        bad = bad[held[bad]]
-        if len(bad):
-            _parse_cell(raw.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
-    return col
-
-
 def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
     """The variables of a means table; refuses none, a repeat, and 'ball' or 'size'."""
     variables = distinct_names(variables, "variable")
@@ -255,12 +227,8 @@ def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:
 def _means(groups: _Groups, cols: Mapping[str, np.ndarray]) -> BallMeansTable:
     variables = tuple(cols)
     ids, sizes, rows = groups
-    means = _ball_means(sizes, rows, list(cols.values()))  # an overflow is refused below
-    bad = ~np.isfinite(means)
-    if bad.any():  # the first ball in ball order, then its first variable
-        i = int(np.flatnonzero(bad.any(axis=0))[0])
-        k = int(np.flatnonzero(bad[:, i])[0])
-        raise _overflow("mean", variables[k], int(ids[i]))
+    means = _ball_means(sizes, rows, list(cols.values()))
+    _refuse_overflow(ids, means, [("mean", v) for v in variables])
     return BallMeansTable(variables, tuple(
         BallMeansRow(ball=b, means=tuple(m), size=n)
         for b, m, n in zip(ids.tolist(), means.T.tolist(), sizes.tolist())
@@ -282,16 +250,13 @@ def _distribution(groups: _Groups, col: np.ndarray, variable: str) -> BallDistri
             for row, p in ((3, 25), (4, 50), (5, 75)):
                 stats[row, at] = _quantiles(values, p)
             stats[6, at] = values[:, -1]
-    held_sd = sizes > 1
-    bad_mean, bad_sd = ~np.isfinite(stats[0]), ~np.isfinite(stats[1]) & held_sd
-    if (bad_mean | bad_sd).any():  # the first ball in ball order, its mean before its sd
-        i = int(np.flatnonzero(bad_mean | bad_sd)[0])
-        raise _overflow("mean" if bad_mean[i] else "sd", variable, int(ids[i]))
+    # a singleton's sd is the 0.0 above, so it is never refused, and written as None
+    _refuse_overflow(ids, stats[:2], [("mean", variable), ("sd", variable)])
     return BallDistributionTable(variable, tuple(
-        BallDistributionRow(ball=b, mean=mean, sd=sd if held else None, min=lo, q25=q25,
+        BallDistributionRow(ball=b, mean=mean, sd=sd if n > 1 else None, min=lo, q25=q25,
                             q50=q50, q75=q75, max=hi, size=n)
-        for b, (mean, sd, lo, q25, q50, q75, hi), held, n
-        in zip(ids.tolist(), stats.T.tolist(), held_sd.tolist(), sizes.tolist())
+        for b, (mean, sd, lo, q25, q50, q75, hi), n
+        in zip(ids.tolist(), stats.T.tolist(), sizes.tolist())
     ))
 
 

@@ -438,6 +438,7 @@ RUN_OUT = ["--svg", "{out}/g.svg", "--results", "{out}/r.csv", "--merged", "{out
 RUN_AUTO = ["run", "-i", "{auto}", "--axes", "mpg,weight", "-e", "1"]
 BAD_INPUT = {
     "bins_zero": RUN_AUTO + ["--color", "price", "--bins", "0"] + RUN_OUT,
+    "bins_past_legend": RUN_AUTO + ["--color", "price", "--bins", "31"] + RUN_OUT,
     "iterations_zero": RUN_AUTO + ["--iterations", "0"] + RUN_OUT,
     "repulsion_zero": RUN_AUTO + ["--repulsion", "0"] + RUN_OUT,
     "attraction_negative": RUN_AUTO + ["--attraction", "-1"] + RUN_OUT,
@@ -534,6 +535,25 @@ def test_bad_input_is_one_error_line_and_no_output(argv, auto_csv, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(out.iterdir()) == []
     assert {p: p.read_bytes() for p in inputs} == inputs
+
+
+BLANK_HEADER = {  # (argv, the input, whose header has a blank name)
+    "run": (["run", "-i", "{input}", "--axes", "x", "-e", "1"] + RUN_OUT, b"x,,y\n1,2,3\n"),
+    "ball-summary": (["ball-summary", "--merged", "{input}", "--variables", "x",
+                      "-o", "{out}/s.csv"], b"ball,x, \n1,2,3\n"),
+    "variable-summary": (["variable-summary", "--merged", "{input}", "--variable", "x",
+                          "-o", "{out}/s.csv", "--boxplot", "{out}/b.svg"], b"ball,x, \n1,2,3\n"),
+}
+
+
+@pytest.mark.parametrize("argv, text", BLANK_HEADER.values(), ids=BLANK_HEADER.keys())
+def test_blank_header_name_refused(argv, text, tmp_path, capsys):
+    out, path = tmp_path / "out", tmp_path / "in.csv"
+    out.mkdir()
+    path.write_bytes(text)
+    assert run_cli([a.format(input=path, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {path}: blank header name\n"
+    assert list(out.iterdir()) == []
 
 
 SUMMARY_VARIABLES = "mpg,trunk,weight,length,turn,displacement,gear_ratio,price,foreign"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.graph import default_palette
+from ballmapper.graph import MAX_BIN_COUNT, default_palette
 
 from conftest import cover_from_members, cover_inputs, membership_matrix, random_cloud
 
@@ -188,6 +188,16 @@ class TestAssignBins:
         assert scale.boundaries[-1] == 2.7
         assert all(a < b for a, b in zip(scale.boundaries, scale.boundaries[1:]))
         assert all(1 <= b <= 8 for b in bins)
+
+    def test_most_bins_are_the_legend_rows(self):
+        assert MAX_BIN_COUNT == 30
+        _, bins = self.binned([0.0, 1.0], MAX_BIN_COUNT)
+        assert bins == [1, MAX_BIN_COUNT]
+
+    @pytest.mark.parametrize("bin_count", [0, 31, 3_000_000])
+    def test_bin_count_outside_legend_refused(self, bin_count):
+        with pytest.raises(ValidationError, match="bin_count must be from 1 to 30"):
+            self.binned([0.0, 1.0], bin_count)
 
     def test_requires_color_means(self, line_cover):
         g = bm.build_graph(line_cover)

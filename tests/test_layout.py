@@ -60,6 +60,10 @@ class TestComputeLayout:
         assert x1 + x2 == pytest.approx(1.0, abs=1e-9)
         assert y1 + y2 == pytest.approx(1.0, abs=1e-9)
 
+    def test_two_unconnected_nodes_sit_on_the_midline(self):
+        # node 2 starts at y = sin(pi), about 1.2e-16: rounding noise, not a spread to stretch
+        assert bm.compute_layout(make_graph(2)) == {1: (1.0, 0.5), 2: (0.0, 0.5)}
+
     def test_positions_cover_all_nodes(self, auto_cover):
         g = bm.build_graph(auto_cover)
         layout = bm.compute_layout(g, iterations=30)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import render
 from ballmapper.errors import ValidationError
-from ballmapper.graph import FALLBACK_FILL
+from ballmapper.graph import FALLBACK_FILL, MAX_BIN_COUNT
 from ballmapper.render import _disc_radius, _escape, _legend, _num
 from ballmapper.summary import BallDistributionRow
 
@@ -118,6 +118,16 @@ class TestRenderGraphSvg:
         svg = bm.render_graph_svg(g, layout, scale)
         rects = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("rect")]
         assert len(rects) == 1 + 6  # background + one swatch per bin
+
+    def test_legend_of_most_bins_fits_canvas(self, auto_cover, auto_raw):
+        color = auto_raw.numeric_column("price")
+        g, layout, scale = graph_with_layout(auto_cover, color, bins=MAX_BIN_COUNT)
+        root = ET.fromstring(bm.render_graph_svg(g, layout, scale))
+        rects = [el for el in root.iter() if el.tag.endswith("rect")]
+        texts = [el for el in root.iter() if el.tag.endswith("text")]
+        assert len(rects) == 1 + MAX_BIN_COUNT and len(texts) == 1 + MAX_BIN_COUNT
+        assert max(float(el.get("y")) + float(el.get("height")) for el in rects) <= render.HEIGHT
+        assert max(float(el.get("y")) + float(el.get("font-size")) for el in texts) <= render.HEIGHT
 
     def test_positions_must_cover_nodes(self, line_cover):
         g = bm.build_graph(line_cover)

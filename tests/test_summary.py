@@ -311,13 +311,17 @@ class TestBallSummary:
         ((("0", "1.7e308"),) * 5,
          lambda raw, groups: summary.means_over_groups(raw, groups, ("a", "b")),
          "the mean of 'b' in ball 2 overflows float64"),
+        ((("1.7e308", "0"),) * 2 + (("0", "1.7e308"),) * 3,
+         lambda raw, groups: summary.means_over_groups(raw, groups, ("a", "b")),
+         "the mean of 'b' in ball 2 overflows float64"),
         ((("1.7e308", "0"),) * 5,
          lambda raw, groups: summary.distribution_over_groups(raw, groups, "a"),
          "the mean of 'a' in ball 2 overflows float64"),
         ((("1.7e308", "0"),) * 2 + (("1e200", "0"), ("-1e200", "0"), ("0", "0")),
          lambda raw, groups: summary.distribution_over_groups(raw, groups, "a"),
          "the sd of 'a' in ball 2 overflows float64"),
-    ], ids=["means", "means_second_variable", "distribution_mean", "distribution_sd"])
+    ], ids=["means", "means_second_variable", "means_ball_before_variable",
+            "distribution_mean", "distribution_sd"])
     def test_first_overflow_in_ball_order_across_sizes(self, cells, summarise, message):
         # ball 7 (two members) is reduced before ball 2 (three members), as
         # sizes are taken in ascending order; the lower ball id is named
