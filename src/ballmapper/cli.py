@@ -18,14 +18,13 @@ import os
 import sys
 from itertools import islice
 
-import numpy as np
-
 from . import datagen, layout, render, summary
-from .cover import build_cover
+from .cover import _check_cover_args, build_cover
 from .errors import ValidationError
-from .graph import DEFAULT_BIN_COUNT, assign_bins, build_graph
-from .point_cloud import PointCloud, RawTable, format_floats, load_csv, standardize, validate_axes
-from .point_cloud import _read_plain, csv_lines, write_point_cloud_csv
+from .graph import DEFAULT_BIN_COUNT, _check_bin_count, assign_bins, build_graph
+from .point_cloud import PointCloud, RawTable, _checked_axes, _checked_column, _read_plain
+from .point_cloud import _read_streamed, csv_lines, format_floats, standardize
+from .point_cloud import write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -119,29 +118,28 @@ def _write_text(path, text: str) -> None:
 # pairs, where write(path) fills one file, and the line to print once all of
 # them are in place. main does the refusing, writing and printing.
 def cmd_run(args: argparse.Namespace):
-    # load_csv reads any input that _read_plain declines and makes every refusal
-    color = () if args.color in (None, *args.axes) else (args.color,)
-    plain = _read_plain(args.input, args.axes + color) if args.axes else None
-    if plain is None:
-        raw = load_csv(args.input)
-        if "ball" in raw.column_names:
-            raise ValidationError(
-                "input column 'ball' would clash with the merged CSV's ball column")
-        cloud = validate_axes(raw, args.axes)[0]  # every row: drop_missing is off
-        table, column = raw, raw.numeric_column
-    else:
-        table, column = plain[:2], plain[2].__getitem__  # (header, lines), columns by name
-        values = np.column_stack([column(a) for a in args.axes])
-        cloud = PointCloud(args.axes, values, tuple(range(len(values))))
+    _check_cover_args(args.epsilon, args.order, args.seed)  # flags before the input is read
+    if args.color is not None:
+        _check_bin_count(args.bins)
+    layout._check_layout_args(args.repulsion, args.attraction, args.iterations)
+    # _read_streamed reads any input that _read_plain declines, and the refusals
+    # below come in the order load_csv, validate_axes and numeric_column make them
+    names = args.axes + ((args.color,) if args.color not in (None, *args.axes) else ())
+    plain = _read_plain(args.input, names) if args.axes else None
+    header, lines, columns, bad = (*plain, {}) if plain else _read_streamed(args.input, names)
+    if "ball" in header:
+        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
+    axes, values = _checked_axes(header, args.axes, columns, bad)
+    cloud = PointCloud(axes, values, tuple(range(len(values))))
     if args.standardize:
         cloud, std_spec = standardize(cloud)
         for name, mean, sd in zip(std_spec.columns, std_spec.means, std_spec.sds):
             print(f"standardized {name}: mean {mean:.6g}, sd {sd:.6g}")
 
-    color_values = None if args.color is None else column(args.color)
+    color = None if args.color is None else _checked_column(header, args.color, columns, bad)
 
     cover = build_cover(cloud, args.epsilon, order=args.order, seed=args.seed)
-    graph = build_graph(cover, color_values)
+    graph = build_graph(cover, color)
     scale = None
     if args.color is not None:
         scale, graph = assign_bins(graph, args.bins)
@@ -155,7 +153,7 @@ def cmd_run(args: argparse.Namespace):
     return [
         (args.svg, lambda p: _write_text(p, svg)),
         (args.results, lambda p: _write_results_csv(p, graph, positions)),
-        (args.merged, lambda p: _write_merged_csv(p, table, cover)),
+        (args.merged, lambda p: _write_merged_csv(p, (header, lines), cover)),
     ], f"Ball mapper run complete: graph {args.svg}, results {args.results}, merged {args.merged}"
 
 

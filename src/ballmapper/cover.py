@@ -52,6 +52,15 @@ class BallCover:
         return range(1, len(self.landmarks) + 1)
 
 
+def _check_cover_args(epsilon: float, order: str, seed: int) -> None:
+    if not epsilon > 0:
+        raise ValidationError("epsilon must be positive")
+    if order not in ("data", "shuffle"):
+        raise ValueError(f"unknown landmark order policy {order!r}")
+    if order == "shuffle" and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def build_cover(
     cloud: PointCloud,
     epsilon: float,
@@ -65,15 +74,9 @@ def build_cover(
     of the rows instead, for landmark-order robustness experiments. Distance
     comparisons are inclusive (<= epsilon).
     """
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
-    if order not in ("data", "shuffle"):
-        raise ValueError(f"unknown landmark order policy {order!r}")
-
+    _check_cover_args(epsilon, order, seed)
     n = cloud.n
     if order == "shuffle":
-        if seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {seed}")
         scan_order = np.random.default_rng(seed).permutation(n)
     else:
         scan_order = np.arange(n)

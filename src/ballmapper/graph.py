@@ -158,12 +158,16 @@ def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]
                      map(ball_ids.__getitem__, (pairs % stride).tolist()), shared.tolist()))
 
 
+def _check_bin_count(bin_count: int) -> None:
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise ValidationError(f"bin_count must be from 1 to {MAX_BIN_COUNT}, the legend's rows")
+
+
 def assign_bins(
     graph: MapperGraph, bin_count: int = DEFAULT_BIN_COUNT
 ) -> tuple[ColorScale, MapperGraph]:
     """Attach a color bin to every node; requires color means on the graph."""
-    if not 1 <= bin_count <= MAX_BIN_COUNT:
-        raise ValidationError(f"bin_count must be from 1 to {MAX_BIN_COUNT}, the legend's rows")
+    _check_bin_count(bin_count)
     if any(n.color_mean is None for n in graph.nodes):
         raise ValueError("graph has no color means to bin")
 

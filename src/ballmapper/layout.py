@@ -102,6 +102,13 @@ def _simulate(
     return pos
 
 
+def _check_layout_args(repulsion: float, attraction: float, iterations: int) -> None:
+    if not (0 < repulsion < math.inf and 0 < attraction < math.inf):
+        raise ValidationError("repulsion and attraction must be positive and finite")
+    if iterations < 1:
+        raise ValidationError("iterations must be positive")
+
+
 def compute_layout(
     graph: MapperGraph,
     repulsion: float = DEFAULT_REPULSION,
@@ -116,10 +123,7 @@ def compute_layout(
     """
     if graph.n_nodes == 0:
         raise ValueError("cannot lay out an empty graph")
-    if not (0 < repulsion < math.inf and 0 < attraction < math.inf):
-        raise ValidationError("repulsion and attraction must be positive and finite")
-    if iterations < 1:
-        raise ValidationError("iterations must be positive")
+    _check_layout_args(repulsion, attraction, iterations)
 
     balls = [n.ball for n in graph.nodes]
     if len(balls) == 1:

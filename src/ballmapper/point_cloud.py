@@ -3,14 +3,15 @@
 CSV dialect: RFC-4180 style, header row mandatory, UTF-8, LF or CRLF accepted
 on input, always LF on output. Floats are written with the shortest
 representation that round-trips (integral values drop the trailing ``.0``).
-A plain file (_read_plain) is parsed by numpy's C reader; load_csv reads any
-other, makes every refusal and is the plain reader's oracle.
+A plain file (_read_plain) is parsed by numpy's C reader; _read_streamed reads
+any other and makes every refusal; load_csv is the library's reader of any file.
 """
 from __future__ import annotations
 
 import csv
 import math
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ValidationError
 
 _CSV_BATCH = 4096  # rows csv_lines renders at a time
+_CHUNK_ROWS = 4096  # rows _read_streamed parses before it reads the next
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # Bytes the plain-file reader checks at a time, and the bytes a plain file
 # may hold: printable ASCII but the quote, and LF.
 _BLOCK_BYTES = 1 << 18
@@ -91,18 +94,30 @@ def _cell_or_nan(cell: str) -> float:
         return math.nan
 
 
+def _first_refused(rows: Sequence[Sequence[str]], j: int, col: np.ndarray, first_row: int = 0):
+    """(cell, row) of column j's first cell that col, its parse, holds as non-finite, or None."""
+    bad = np.flatnonzero(~np.isfinite(col))
+    return (rows[bad[0]][j], first_row + int(bad[0])) if len(bad) else None
+
+
+def _checked_column(header: tuple[str, ...], name: str, columns, bad):
+    """columns[name]; refuses a name not in header, then the first refused cell, bad[name]."""
+    _column_position(header, name)
+    if bad.get(name) is not None:
+        _parse_cell(*bad[name], name)  # raises: the cell is refused
+    return columns[name]
+
+
 def _held_column(raw: RawTable, name: str, rows: np.ndarray) -> np.ndarray:
     """Column name of raw as float64; refuses a missing or non-numeric cell in
     one of the rows, with the first such row in the error, and ignores the rest."""
     j = raw.column_index(name)
     col = _parse_column(raw.rows, j)
-    bad = np.flatnonzero(~np.isfinite(col))
-    if len(bad):
-        held = np.zeros(len(col), dtype=bool)
-        held[rows] = True
-        bad = bad[held[bad]]
-        if len(bad):
-            _parse_cell(raw.rows[bad[0]][j], int(bad[0]), name)  # raises: the cell is refused
+    held = np.zeros(len(col), dtype=bool)
+    held[rows] = True
+    bad = _first_refused(raw.rows, j, np.where(held, col, 0.0))  # the first in a held row
+    if bad is not None:
+        _parse_cell(*bad, name)  # raises: the cell is refused
     return col
 
 
@@ -263,7 +278,7 @@ def _read_plain(path, names: Sequence[str], merged: bool = False):
     split at its commas, and numpy's int64 and float64 parses agree with int()
     and float() on every cell they accept. It declines any other file, names
     that repeat, hold 'ball' or are no column, and a file where numpy raises or
-    warns or a value is not finite; load_csv's path then makes any refusal.
+    warns or a value is not finite; _read_streamed then makes any refusal.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as f:
@@ -296,6 +311,67 @@ def _read_plain(path, names: Sequence[str], merged: bool = False):
     return header, lines, columns
 
 
+def _is_int64(cell: str) -> bool:
+    try:
+        return _INT64_MIN <= int(cell) <= _INT64_MAX
+    except ValueError:
+        return False
+
+
+def _ball_ids(cells: Sequence[str], first_row: int = 0) -> np.ndarray:
+    """The cells as int64 ball ids; refuses the first that is not one, by its merged row."""
+    try:
+        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except (ValueError, OverflowError):
+        i = next(i for i, cell in enumerate(cells) if not _is_int64(cell))
+        raise ValidationError(f"bad ball id {cells[i]!r} at merged row {first_row + i}") from None
+
+
+def _read_streamed(path, names: Sequence[str], merged: bool = False):
+    """(header, rows, columns, bad) of any CSV file, read _CHUNK_ROWS rows at a time.
+
+    rows holds each row's text (csv_lines' line of an empty cell and the row,
+    less its first comma and LF) or a merged file's int64 ball ids; columns
+    each of names that the header has as float64, NaN where _parse_cell
+    refuses a cell; bad each such column's first refused (cell, row) or None.
+    Only these outlive a chunk's text. The rows are checked as load_csv checks
+    them. A merged file is refused for no 'ball' column or a name that is no
+    column before any row is read, and for no rows or a bad ball id after.
+    """
+    with closing(_checked_rows(path)) as reader:  # closes the file on an early refusal
+        header = next(reader)
+        if merged:
+            if "ball" not in header:
+                raise ValidationError("merged table has no 'ball' column")
+            for name in names:
+                _column_position(header, name)
+        cols = {name: header.index(name) for name in names if name in header}
+        rows: list = []
+        values = {name: [np.empty(0)] for name in cols}  # an empty column if no row
+        bad = dict.fromkeys(cols)
+        bad_id = None  # the refusal of a merged file's first bad ball id
+        n = 0
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if not merged:
+                rows += [line[1:-1] for line in csv_lines([""] + row for row in chunk)]
+            else:
+                try:
+                    rows.append(_ball_ids(list(map(itemgetter(header.index("ball")), chunk)), n))
+                except ValidationError as exc:
+                    bad_id = bad_id or exc
+            for name, j in cols.items():
+                values[name].append(_parse_column(chunk, j))
+                bad[name] = bad[name] or _first_refused(chunk, j, values[name][-1], n)
+            n += len(chunk)
+            del chunk  # so that two chunks of text are never held at once
+    if merged and not n:
+        raise ValidationError("merged table has no rows")
+    if bad_id is not None:
+        raise bad_id
+    columns = {name: np.concatenate(chunks) for name, chunks in values.items()}
+    return header, np.concatenate(rows) if merged else rows, columns, bad
+
+
 def distinct_names(names: Sequence[str], what: str) -> tuple[str, ...]:
     """The names as a tuple; refuses an empty selection and a repeated name."""
     names = tuple(names)
@@ -305,6 +381,22 @@ def distinct_names(names: Sequence[str], what: str) -> tuple[str, ...]:
     if repeated:
         raise ValidationError(f"{what} {repeated[0]!r} is given more than once")
     return names
+
+
+def _checked_axes(header: tuple[str, ...], selection: Sequence[str], columns, bad):
+    """The axes of selection and their columns as an N x K array. Refuses no axis, a
+    repeated axis, an axis that is no column of header, no rows, then the axes' first
+    refused cell, bad[axis] = (cell, row), in row-major order (axes in the given order)."""
+    axes = distinct_names(selection, "axis column")
+    for a in axes:
+        _column_position(header, a)
+    if not len(columns[axes[0]]):
+        raise ValidationError("the table has no data rows")
+    refused = [(bad[a][1], k) for k, a in enumerate(axes) if bad.get(a) is not None]
+    if refused:
+        row, k = min(refused)  # the lowest row, then the first axis on it
+        _parse_cell(bad[axes[k]][0], row, axes[k])  # raises: the cell is refused
+    return axes, np.column_stack([columns[a] for a in axes])
 
 
 def validate_axes(
@@ -319,19 +411,12 @@ def validate_axes(
     cell in row-major order (axes in the given order), unless drop_missing is
     set: then every row holding one is dropped and its id returned.
     """
-    axes = distinct_names(selection, "axis column")
-    cols = [raw.column_index(a) for a in axes]
-    if not raw.rows:
-        raise ValidationError("the table has no data rows")
-
-    values = np.column_stack([_parse_column(raw.rows, j) for j in cols])
-    bad = ~np.isfinite(values)
-    bad_rows = bad.any(axis=1)
-    if not bad_rows.any():
-        return PointCloud(axes, values, tuple(range(len(raw.rows)))), ()
-    if not drop_missing:
-        i, j = np.argwhere(bad)[0].tolist()  # argwhere walks in row-major order
-        _parse_cell(raw.rows[i][cols[j]], i, axes[j])  # raises: the cell is refused
+    cols = {a: raw.column_index(a) for a in selection if a in raw.column_names}
+    columns = {a: _parse_column(raw.rows, j) for a, j in cols.items()}
+    bad = {} if drop_missing else {
+        a: _first_refused(raw.rows, j, columns[a]) for a, j in cols.items()}
+    axes, values = _checked_axes(raw.column_names, selection, columns, bad)
+    bad_rows = ~np.isfinite(values).all(axis=1)
     keep = np.flatnonzero(~bad_rows)
     if not len(keep):
         raise ValidationError("no rows remain after dropping rows with missing values")

@@ -8,9 +8,7 @@ undefined and serializes as an empty CSV field, never 0.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, fields
-from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
@@ -19,15 +17,10 @@ import numpy as np
 from .cover import BallCover
 from .errors import ValidationError
 from .graph import _ball_means, _by_size
-from .point_cloud import RawTable, _checked_rows, _column_position, _held_column, _parse_cell
-from .point_cloud import _parse_column, _read_plain, distinct_names, write_csv
+from .point_cloud import RawTable, _ball_ids, _checked_column, _held_column, _read_plain
+from .point_cloud import _read_streamed, distinct_names, write_csv
 
 _INTEGRAL_TOL = 1e-9
-# A plain merged CSV is read by point_cloud._read_plain, run's reader for its input;
-# any other is streamed, _CHUNK_ROWS rows at a time, each chunk's text dropped
-# once its ball ids and columns are parsed.
-_CHUNK_ROWS = 4096
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
 # their intp sizes, and each ball's rows in turn, in file order; a cover gives 1..B and its own.
 _Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -127,22 +120,6 @@ def _refuse_overflow(ids: np.ndarray, stats: np.ndarray, names: Sequence[tuple[s
         raise ValidationError(f"the {stat} of {variable!r} in ball {ids[i]} overflows float64")
 
 
-def _is_int64(cell: str) -> bool:
-    try:
-        return _INT64_MIN <= int(cell) <= _INT64_MAX
-    except ValueError:
-        return False
-
-
-def _ball_ids(cells: Sequence[str], first_row: int = 0) -> np.ndarray:
-    """The cells as int64 ball ids; refuses the first that is not one, by its merged row."""
-    try:
-        return np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
-    except (ValueError, OverflowError):
-        i = next(i for i, cell in enumerate(cells) if not _is_int64(cell))
-        raise ValidationError(f"bad ball id {cells[i]!r} at merged row {first_row + i}") from None
-
-
 def _groups(balls: np.ndarray) -> _Groups:
     """(ids, sizes, rows) of a ball id column: the distinct ids ascending, their
     counts, and the row indices ball after ball, each ball's in file order."""
@@ -164,55 +141,10 @@ def _read_merged(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndar
     """The ball groups and the named columns, as float64, of a merged CSV file: a
     plain one read by numpy's C reader (_read_plain), any other by the streamed
     reader, whose result the plain reader's equals and which makes every refusal."""
-    if (plain := _read_plain(path, names, merged=True)) is None:
-        return _read_streamed(path, names)
-    return _groups(plain[2].pop("ball")), plain[2]
-
-
-def _read_streamed(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:
-    """The ball groups and the named columns, as float64, of a merged CSV file.
-
-    The rows are read _CHUNK_ROWS at a time, and each chunk is parsed into
-    int64 ball ids and float64 columns before the next is read, so only
-    those arrays outlive its text. The result and every refusal are those of
-    ball_groups_from_merged and _held_column on load_csv's table, where every
-    row is held, except that the header's checks (a 'ball' column, each name
-    a column) come before any row is read. The first bad ball id and each
-    column's first refused cell are kept and raised once all rows are read.
-    """
-    with closing(_checked_rows(path)) as rows:  # closes the file on an early refusal
-        header = next(rows)
-        if "ball" not in header:
-            raise ValidationError("merged table has no 'ball' column")
-        ball_j = header.index("ball")
-        cols = [_column_position(header, name) for name in names]
-        ids: list[np.ndarray] = []
-        values: list[list[np.ndarray]] = [[] for _ in cols]
-        bad_id = None  # the refusal of the first bad ball id
-        bad_cells: list = [None] * len(cols)  # (cell, row) of each column's first refused cell
-        n = 0
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            try:
-                ids.append(_ball_ids(list(map(itemgetter(ball_j), chunk)), n))
-            except ValidationError as exc:
-                bad_id = bad_id or exc
-            for k, j in enumerate(cols):
-                values[k].append(_parse_column(chunk, j))
-                bad = np.flatnonzero(~np.isfinite(values[k][-1]))
-                if len(bad) and bad_cells[k] is None:
-                    bad_cells[k] = (chunk[bad[0]][j], n + int(bad[0]))
-            n += len(chunk)
-            del chunk  # so that two chunks of text are never held at once
-    if not n:
-        raise ValidationError("merged table has no rows")
-    if bad_id is not None:
-        raise bad_id
-    for name, bad in zip(names, bad_cells):
-        if bad is not None:
-            _parse_cell(*bad, name)  # raises: the cell is refused
-    return _groups(np.concatenate(ids)), {
-        name: np.concatenate(chunks) for name, chunks in zip(names, values)
-    }
+    if (plain := _read_plain(path, names, merged=True)) is not None:
+        return _groups(plain[2].pop("ball")), plain[2]
+    header, ids, columns, bad = _read_streamed(path, names, merged=True)
+    return _groups(ids), {name: _checked_column(header, name, columns, bad) for name in names}
 
 
 def _mean_variables(variables: Sequence[str]) -> tuple[str, ...]:

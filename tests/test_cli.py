@@ -692,11 +692,11 @@ def test_streamed_summaries_match_raw_table_path(tmp_path_factory, merged, chunk
     (tmp / "m.csv").write_bytes(data)
     want = _library_summaries(str(tmp / "m.csv"), tmp / "library", numeric)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(summary, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(point_cloud, "_CHUNK_ROWS", chunk_rows)
         assert _cli_summaries(str(tmp / "m.csv"), tmp / "cli", numeric) == want
 
 
-@given(merged_files(faults=False, repeat_to=2 * summary._CHUNK_ROWS + 7))
+@given(merged_files(faults=False, repeat_to=2 * point_cloud._CHUNK_ROWS + 7))
 @settings(max_examples=5, deadline=None)
 def test_streamed_summaries_match_raw_table_path_over_real_chunks(tmp_path_factory, merged):
     data, numeric = merged
@@ -711,7 +711,7 @@ def _merged_lines(n):
     return ["ball,a,b,name"] + [f"{i % 50 + 1},{i / 7!r},{-i},row {i}" for i in range(n)]
 
 
-FAULT_ROW = summary._CHUNK_ROWS + 404  # a data row past the first chunk
+FAULT_ROW = point_cloud._CHUNK_ROWS + 404  # a data row past the first chunk
 SINGLE_FAULTS = {  # name: (the line that replaces data row FAULT_ROW, the refusal)
     "short_row": ("1,2", "{path}: row {row} has 2 cells, header has 4"),
     "not_utf8": (b"1,2,3,\xff", "{path}: not UTF-8 text"),
@@ -727,7 +727,7 @@ SINGLE_FAULTS = {  # name: (the line that replaces data row FAULT_ROW, the refus
 @pytest.mark.parametrize("command", ["ball-summary", "variable-summary"])
 def test_single_fault_past_first_chunk_refused_like_raw_table_path(line, message, command,
                                                                    tmp_path, capsys):
-    lines = [s.encode() for s in _merged_lines(2 * summary._CHUNK_ROWS)]
+    lines = [s.encode() for s in _merged_lines(2 * point_cloud._CHUNK_ROWS)]
     lines[1 + FAULT_ROW] = line if isinstance(line, bytes) else line.encode()
     merged = tmp_path / "m.csv"
     merged.write_bytes(b"\n".join(lines) + b"\n")
@@ -741,7 +741,7 @@ def test_single_fault_past_first_chunk_refused_like_raw_table_path(line, message
     assert sorted(p.name for p in tmp_path.iterdir()) == ["library", "m.csv"]
 
 
-ROWS = 2 * summary._CHUNK_ROWS + 1
+ROWS = 2 * point_cloud._CHUNK_ROWS + 1
 HEADER_FAULTS = {  # name: (argv after the command, the header line, data rows, the refusal)
     "unknown_variable": (["ball-summary", "--variables", "a,zz"], "ball,a,b,name", ROWS,
                          "unknown column 'zz'"),
@@ -802,7 +802,7 @@ def test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path):
             for i in range(n)]
     write_cells(merged, ("ball", "a", "b", "x", "y", "name"), rows)
     with open(merged, newline="") as f:
-        chunk = list(itertools.islice(csv.reader(f), 1, 1 + summary._CHUNK_ROWS))
+        chunk = list(itertools.islice(csv.reader(f), 1, 1 + point_cloud._CHUNK_ROWS))
     chunk_bytes = sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in chunk)
     float_bytes = n * 3 * 8  # the ball ids and the two summarised columns
     tracemalloc.start()
@@ -821,9 +821,10 @@ def test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path):
 def test_streamed_reader_holds_floats_and_one_chunk_not_the_text(tmp_path, monkeypatch):
     # the file above is plain, so numpy's parser reads it; here the streamed
     # reader, the only one for quoted, CRLF or BOM files, is held to the same bound
-    read, calls = summary._read_streamed, []
+    read, calls = point_cloud._read_streamed, []
     monkeypatch.setattr(summary, "_read_plain", lambda *args, **kwargs: None)
-    monkeypatch.setattr(summary, "_read_streamed", lambda *args: calls.append(args) or read(*args))
+    monkeypatch.setattr(summary, "_read_streamed",
+                        lambda *args, **kwargs: calls.append(args) or read(*args, **kwargs))
     test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path)
     assert len(calls) == 1
 
@@ -936,10 +937,56 @@ def _cli_run(inp, out, extra):
     return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
 
 
+def _run_by_load_csv(args):
+    """cmd_run as it read every input that _read_plain declined before the streamed
+    reader did: load_csv, the ball clash, validate_axes over every row, the color by
+    numeric_column, and the merged rows rendered from the RawTable. The oracle of
+    run's outputs and refusals, in their order, for inputs whose flags are valid."""
+    raw = bm.load_csv(args.input)
+    if "ball" in raw.column_names:
+        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
+    cloud = bm.validate_axes(raw, args.axes)[0]
+    if args.standardize:
+        cloud, std_spec = bm.standardize(cloud)
+        for name, mean, sd in zip(std_spec.columns, std_spec.means, std_spec.sds):
+            print(f"standardized {name}: mean {mean:.6g}, sd {sd:.6g}")
+    color = None if args.color is None else raw.numeric_column(args.color)
+    cover = bm.build_cover(cloud, args.epsilon, order=args.order, seed=args.seed)
+    graph = bm.build_graph(cover, color)
+    scale = None
+    if args.color is not None:
+        scale, graph = bm.assign_bins(graph, args.bins)
+    positions = bm.compute_layout(graph, args.repulsion, args.attraction, args.iterations)
+    svg = bm.render_graph_svg(graph, positions, scale, bm.RenderOptions(show_labels=args.labels))
+    return [
+        (args.svg, lambda p: cli._write_text(p, svg)),
+        (args.results, lambda p: _write_results_csv(p, graph, positions)),
+        (args.merged, lambda p: _write_merged_csv(p, raw, cover)),
+    ], f"Ball mapper run complete: graph {args.svg}, results {args.results}, merged {args.merged}"
+
+
+@contextlib.contextmanager
+def _calls_of(*functions):
+    """The names of the functions called while the block runs, by whatever name they
+    are reached, as a list."""
+    codes, calls, old = {f.__code__ for f in functions}, [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(old)
+
+
 def _run_both_ways(inp, tmp, extra):
-    """_cli_run through the plain reader, then with the reader forced to decline;
-    returns both results, whether the reader read the file, and load_csv's calls."""
-    read_plain, load, taken, loads = point_cloud._read_plain, point_cloud.load_csv, [], []
+    """_cli_run as it is, then through _run_by_load_csv; returns both results, whether
+    the plain reader read the file, and how often the streamed reader was called.
+    run itself calls none of load_csv, validate_axes and RawTable.numeric_column."""
+    read_plain, read_streamed, taken, streamed = (point_cloud._read_plain,
+                                                  point_cloud._read_streamed, [], [])
 
     def counted(*args, **kwargs):
         result = read_plain(*args, **kwargs)
@@ -948,12 +995,17 @@ def _run_both_ways(inp, tmp, extra):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_plain", counted)
-        mp.setattr(cli, "load_csv", lambda path: loads.append(path) or load(path))
-        got = _cli_run(inp, tmp / "either", extra)
+        mp.setattr(cli, "_read_streamed",
+                   lambda *args: streamed.append(args) or read_streamed(*args))
+        with _calls_of(bm.load_csv, bm.validate_axes, bm.RawTable.numeric_column) as calls:
+            got = _cli_run(inp, tmp / "either", extra)
+    assert calls == []
     with pytest.MonkeyPatch.context() as mp:  # load_csv's path alone
-        mp.setattr(cli, "_read_plain", lambda *args, **kwargs: None)
-        want = _cli_run(inp, tmp / "fallback", extra)
-    return got, want, taken, loads
+        mp.setattr(cli, "cmd_run", _run_by_load_csv)
+        with _calls_of(bm.load_csv) as calls:
+            want = _cli_run(inp, tmp / "fallback", extra)
+    assert calls == ["load_csv"]  # which shows that _calls_of sees the calls
+    return got, want, taken, len(streamed)
 
 
 @st.composite
@@ -988,9 +1040,9 @@ def test_run_on_plain_input_matches_load_csv_path(tmp_path_factory, inputs):
     data, flags = inputs
     tmp = tmp_path_factory.mktemp("plain_run")
     (tmp / "in.csv").write_bytes(data)
-    got, want, taken, loads = _run_both_ways(tmp / "in.csv", tmp, flags)
+    got, want, taken, streamed = _run_both_ways(tmp / "in.csv", tmp, flags)
     assert got == want
-    assert taken == [True] and loads == []  # the plain path, and load_csv never called
+    assert taken == [True] and streamed == 0  # the plain path, and the stream never called
 
 
 def test_run_on_plain_input_keeps_row_ids_over_blank_lines(tmp_path):
@@ -1024,22 +1076,106 @@ RUN_DECLINED = {  # name: (input text, flags, exit code), each declined by the p
     "no_data_rows": ("x,y,c,t\n\n", [], 1),
     "empty_file": ("", [], 1),
     "over_limit": (PLAIN_RUN.replace(",b\n", "," + "b" * 150 + "\n"), [], 0),
+    # several faults: the first in run's order is refused
+    "two_bad_axes": (PLAIN_RUN.replace("4,5", "foo,5").replace("1,2", "1,bar"), [], 1),
+    "crlf_bad_axis_and_color_standardized": (
+        PLAIN_RUN.replace("4,5,6", "4,,z").replace("\n", "\r\n"), ["--standardize"], 1),
+    "ball_and_short_row": (PLAIN_RUN.replace(",t\n", ",ball\n", 1).replace("4,5,6,b", "4,5,6"),
+                           [], 1),
+    "zero_variance_and_bad_color": ("x,y,c,t\n1,2,3,a\n4,2,bad,b\n7,2,9,c\n",
+                                    ["--standardize"], 1),
 }
 
 
+# the streamed reader takes each of these, and matches load_csv's path, _run_by_load_csv
 @pytest.mark.parametrize("text, flags, code", RUN_DECLINED.values(), ids=RUN_DECLINED.keys())
 def test_run_declined_input_takes_load_csv_path(text, flags, code, tmp_path):
     (tmp_path / "in.csv").write_bytes(text.encode())
     flags = ["--axes", "x,y", "-e", "2", "--color", "c"] + flags  # later flags win
     old_limit = csv.field_size_limit(155)  # every field within it, not every line
     try:
-        got, want, taken, loads = _run_both_ways(tmp_path / "in.csv", tmp_path, flags)
+        got, want, taken, streamed = _run_both_ways(tmp_path / "in.csv", tmp_path, flags)
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
-    assert True not in taken and len(loads) == 1  # no axis: the reader is not asked
+    assert True not in taken and streamed == 1  # no axis: the plain reader is not asked
     assert got[0] == code and got[2].count("\n") == (code != 0)
     assert got[2].startswith("error: ") or code == 0
+
+
+def test_run_refuses_the_row_major_first_cell_across_chunks(tmp_path):
+    # CRLF, so streamed: x's bad cell is in the second chunk, y's first in the first
+    rows = [f"{i},{i % 7},{i % 3},t{i}" for i in range(point_cloud._CHUNK_ROWS + 10)]
+    rows[point_cloud._CHUNK_ROWS + 5] = "foo,1,2,t"
+    rows[point_cloud._CHUNK_ROWS + 7] = "7,baz,2,t"
+    rows[100] = "100,bar,1,t"
+    (tmp_path / "in.csv").write_text("\r\n".join(["x,y,c,t"] + rows) + "\r\n", newline="")
+    got, want, taken, streamed = _run_both_ways(tmp_path / "in.csv", tmp_path,
+                                                ["--axes", "x,y", "-e", "2", "--color", "c"])
+    assert got == want and True not in taken and streamed == 1
+    assert got[:3] == (1, "", "error: non-numeric cell 'bar' in column 'y' at row 100\n")
+
+
+def test_run_stream_holds_the_numbers_and_the_text_once(tmp_path):
+    # a CRLF input of five chunks: the stream keeps what numpy's reader keeps of
+    # the LF copy, each row's text and the float64 columns, and at its peak
+    # holds less than load_csv, which keeps every cell as a str
+    cloud = datagen.gen_gaussian_cloud(20_000, 6, 1)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    bm.write_point_cloud_csv(cloud, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert cloud.n >= 3 * point_cloud._CHUNK_ROWS
+
+    def traced(read):
+        tracemalloc.start()
+        try:
+            result = read()
+            return (result, *tracemalloc.get_traced_memory())  # retained, peak
+        finally:
+            tracemalloc.stop()
+
+    names = cloud.column_names
+    plain, plain_retained, _ = traced(lambda: point_cloud._read_plain(lf, names))
+    streamed, retained, peak = traced(lambda: point_cloud._read_streamed(crlf, names))
+    load_peak = traced(lambda: point_cloud.load_csv(crlf))[2]
+    assert streamed[1] == plain[1] and streamed[3] == dict.fromkeys(names)
+    assert all(streamed[2][k].tobytes() == plain[2][k].tobytes() for k in names)
+    assert retained <= 1.1 * plain_retained
+    assert peak < load_peak
+
+
+FLAG_ERRORS = {  # name: (flags, the library's refusal)
+    "bins_past_legend": (["--color", "c", "--bins", "31"],
+                         "bin_count must be from 1 to 30, the legend's rows"),
+    "bins_zero": (["--color", "c", "--bins", "0"],
+                  "bin_count must be from 1 to 30, the legend's rows"),
+    "iterations_zero": (["--iterations", "0"], "iterations must be positive"),
+    "repulsion_zero": (["--repulsion", "0"],
+                       "repulsion and attraction must be positive and finite"),
+    "repulsion_nan": (["--repulsion", "nan"],
+                      "repulsion and attraction must be positive and finite"),
+    "attraction_negative": (["--attraction", "-1"],
+                            "repulsion and attraction must be positive and finite"),
+    "attraction_inf": (["--attraction", "inf"],
+                       "repulsion and attraction must be positive and finite"),
+    "epsilon_zero": (["-e", "0"], "epsilon must be positive"),
+    "epsilon_nan": (["-e", "nan"], "epsilon must be positive"),
+    "shuffle_negative_seed": (["--order", "shuffle", "--seed", "-1"], "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("flags, message", FLAG_ERRORS.values(), ids=FLAG_ERRORS.keys())
+@pytest.mark.parametrize("exists", [True, False], ids=["input", "no_input"])
+def test_flag_errors_are_refused_before_the_input_is_read(flags, message, exists, tmp_path,
+                                                          monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("run read its input")
+    monkeypatch.setattr(cli, "_read_plain", unread)
+    monkeypatch.setattr(cli, "_read_streamed", unread)
+    if exists:
+        (tmp_path / "in.csv").write_text(PLAIN_RUN)
+    got = _cli_run(tmp_path / "in.csv", tmp_path / "out", ["--axes", "x,y", "-e", "2", *flags])
+    assert got == (1, "", f"error: {message}\n", [None] * 3)
 
 
 def test_run_refusals_keep_their_order_after_standardize(tmp_path, capsys):

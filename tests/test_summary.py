@@ -474,9 +474,16 @@ READ = {  # name: a change to the lines that leaves the file plain
 
 
 def _read_plain_merged(path, names):
-    """The plain reader's result for a merged file in _read_streamed's form, or None."""
+    """The plain reader's result for a merged file as (groups, columns), or None."""
     plain = point_cloud._read_plain(path, names, merged=True)
     return plain and (summary._groups(plain[2].pop("ball")), plain[2])
+
+
+def _read_streamed_merged(path, names):
+    """The streamed reader's result for a merged file as (groups, columns); no cell refused."""
+    _, ids, columns, bad = point_cloud._read_streamed(path, names, merged=True)
+    assert bad == dict.fromkeys(names)
+    return summary._groups(ids), columns
 
 
 def _merged_file(tmp_path, change):
@@ -498,7 +505,7 @@ def field_limit_300():
 def test_plain_reader_reads_gauss5_shaped_file_as_streamed(change, tmp_path, field_limit_300):
     path = _merged_file(tmp_path, change)
     for names in (GAUSS5_NAMES, ("c",)):
-        got, want = _read_plain_merged(path, names), summary._read_streamed(path, names)
+        got, want = _read_plain_merged(path, names), _read_streamed_merged(path, names)
         assert got is not None
         assert [a.tolist() for a in got[0]] == [a.tolist() for a in want[0]]  # ids, sizes, rows
         assert all(got[1][n].tobytes() == want[1][n].tobytes() for n in names)
