@@ -23,7 +23,6 @@ from .point_cloud import (
     load_csv,
     standardize,
     validate_axes,
-    write_csv,
     write_point_cloud_csv,
 )
 from .render import RenderOptions, render_boxplot_svg, render_graph_svg
@@ -70,6 +69,5 @@ __all__ = [
     "standardize",
     "validate_axes",
     "variable_summary",
-    "write_csv",
     "write_point_cloud_csv",
 ]

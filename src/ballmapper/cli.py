@@ -22,9 +22,8 @@ from . import datagen, layout, render, summary
 from .cover import _check_cover_args, build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, _check_bin_count, assign_bins, build_graph
-from .point_cloud import PointCloud, RawTable, _checked_axes, _checked_column, _read_plain
-from .point_cloud import _read_streamed, csv_lines, format_floats, standardize
-from .point_cloud import write_point_cloud_csv
+from .point_cloud import PointCloud, RawTable, _checked_axes, _checked_column, _read_table
+from .point_cloud import csv_lines, format_floats, standardize, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -122,13 +121,10 @@ def cmd_run(args: argparse.Namespace):
     if args.color is not None:
         _check_bin_count(args.bins)
     layout._check_layout_args(args.repulsion, args.attraction, args.iterations)
-    # _read_streamed reads any input that _read_plain declines, and the refusals
-    # below come in the order load_csv, validate_axes and numeric_column make them
+    # the reader refuses a 'ball' column after the rows, and the refusals below
+    # come in the order load_csv, validate_axes and numeric_column make them
     names = args.axes + ((args.color,) if args.color not in (None, *args.axes) else ())
-    plain = _read_plain(args.input, names) if args.axes else None
-    header, lines, columns, bad = (*plain, {}) if plain else _read_streamed(args.input, names)
-    if "ball" in header:
-        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
+    header, lines, columns, bad = _read_table(args.input, names)
     axes, values = _checked_axes(header, args.axes, columns, bad)
     cloud = PointCloud(axes, values, tuple(range(len(values))))
     if args.standardize:

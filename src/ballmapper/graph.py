@@ -60,6 +60,10 @@ class ColorScale:
     boundaries: tuple[float, ...]
     palette: tuple[str, ...]
 
+    def __post_init__(self):
+        if not len(self.boundaries) == self.bin_count + 1 == len(self.palette) + 1:
+            raise ValueError("a color scale needs bin_count + 1 boundaries and bin_count colors")
+
     def bin_for(self, mean: float) -> int:
         lo = self.boundaries[0]
         hi = self.boundaries[-1]

@@ -3,8 +3,9 @@
 CSV dialect: RFC-4180 style, header row mandatory, UTF-8, LF or CRLF accepted
 on input, always LF on output. Floats are written with the shortest
 representation that round-trips (integral values drop the trailing ``.0``).
-A plain file (_read_plain) is parsed by numpy's C reader; _read_streamed reads
-any other and makes every refusal; load_csv is the library's reader of any file.
+_read_table reads a file for every command: a plain one (_read_plain) by numpy's
+C reader, any other by _read_streamed, which makes every refusal; load_csv is
+the library's reader of any file.
 """
 from __future__ import annotations
 
@@ -30,15 +31,6 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 # may hold: printable ASCII but the quote, and LF.
 _BLOCK_BYTES = 1 << 18
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
-
-
-def format_value(x) -> str:
-    """Render a cell for CSV output; floats use shortest round-trip form."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format_floats([x])[0]
 
 
 def format_floats(values) -> list[str]:
@@ -266,12 +258,19 @@ def _plain_lines(f, limit: int) -> Iterator[list[str]]:
         yield lines
 
 
-def _read_plain(path, names: Sequence[str], merged: bool = False):
-    """(header, lines, columns) of a plain file by numpy's C reader, or None where it declines.
+def _read_table(path, names: Sequence[str], merged: bool = False):
+    """(header, rows, columns, bad) of a CSV file, as _read_streamed returns them:
+    numpy's C reader takes a plain file, the stream any file it declines."""
+    return _read_plain(path, names, merged=merged) or _read_streamed(path, names, merged=merged)
 
-    header holds the stripped names, lines each non-blank data line without its
-    LF unless the file is merged, and columns each of names' float64 column (and
-    a merged file's int64 'ball' ids). Only a merged file has a 'ball' column.
+
+def _read_plain(path, names: Sequence[str], merged: bool = False):
+    """_read_streamed's (header, rows, columns, bad) of a plain file by numpy's C reader,
+    or None where it declines.
+
+    header holds the stripped names, rows each non-blank data line without its
+    LF, or a merged file's int64 'ball' ids, columns each of names' float64
+    column, and bad no refused cell. Only a merged file has a 'ball' column.
     Plain means printable ASCII but '"', LF line ends, no line longer than
     csv.field_size_limit(), a header that passes every header check and one
     cell per name on each non-blank line: csv.reader's row is then the line
@@ -305,10 +304,10 @@ def _read_plain(path, names: Sequence[str], merged: bool = False):
                                    comments=None, ndmin=1)
         except (_NotPlain, ValueError, OverflowError, Warning):
             return None
-    columns = {name: table[name] for name in fields}
-    if not all(np.isfinite(columns[name]).all() for name in names):
+    columns = {name: table[name] for name in names}
+    if not all(np.isfinite(column).all() for column in columns.values()):
         return None
-    return header, lines, columns
+    return header, table["ball"] if merged else lines, columns, {}
 
 
 def _is_int64(cell: str) -> bool:
@@ -336,7 +335,8 @@ def _read_streamed(path, names: Sequence[str], merged: bool = False):
     refuses a cell; bad each such column's first refused (cell, row) or None.
     Only these outlive a chunk's text. The rows are checked as load_csv checks
     them. A merged file is refused for no 'ball' column or a name that is no
-    column before any row is read, and for no rows or a bad ball id after.
+    column before any row is read, and for no rows or a bad ball id after;
+    any other file for a 'ball' column after its last row.
     """
     with closing(_checked_rows(path)) as reader:  # closes the file on an early refusal
         header = next(reader)
@@ -366,6 +366,8 @@ def _read_streamed(path, names: Sequence[str], merged: bool = False):
             del chunk  # so that two chunks of text are never held at once
     if merged and not n:
         raise ValidationError("merged table has no rows")
+    if not merged and "ball" in header:
+        raise ValidationError("input column 'ball' would clash with the merged CSV's ball column")
     if bad_id is not None:
         raise bad_id
     columns = {name: np.concatenate(chunks) for name, chunks in values.items()}
@@ -474,18 +476,6 @@ def correlation_matrix(cloud: PointCloud) -> np.ndarray:
     return m
 
 
-def write_csv(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write CSV with LF line endings, each cell as format_value writes it.
-
-    The float cells of all rows are formatted by one format_floats call.
-    """
-    rows = [tuple(row) for row in rows]
-    floats = iter(format_floats([c for row in rows for c in row if isinstance(c, float)]))
-    write_cells(path, column_names, (
-        [next(floats) if isinstance(c, float) else format_value(c) for c in row] for row in rows
-    ))
-
-
 def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
     """Each row as one CSV line ending in LF, rendered _CSV_BATCH rows at a time.
 
@@ -525,10 +515,9 @@ def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
 def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write CSV with LF line endings, each cell a string or a Python int.
 
-    Those cells are written as format_value would write them, without a call
-    per cell. Rows go through csv_lines, so a batch of rows of two or more
-    plain str cells is joined, and a batch holding an int cell, a one-cell
-    row or a cell that needs quotes is rendered by csv.writer.
+    Rows go through csv_lines, so a batch of rows of two or more plain str
+    cells is joined, and a batch holding an int cell, a one-cell row or a cell
+    that needs quotes is rendered by csv.writer.
     """
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(csv_lines(chain([list(column_names)], rows)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from .cover import BallCover
 from .errors import ValidationError
 from .graph import _ball_means, _by_size
-from .point_cloud import RawTable, _ball_ids, _checked_column, _held_column, _read_plain
-from .point_cloud import _read_streamed, distinct_names, write_csv
+from .point_cloud import RawTable, _ball_ids, _checked_column, _held_column, _read_table
+from .point_cloud import distinct_names, format_floats, write_cells
 
 _INTEGRAL_TOL = 1e-9
 # Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
@@ -38,13 +38,9 @@ def quantile(values: Sequence[float], p: float) -> float:
         raise ValueError("quantile of empty input")
     if not 0 < p < 100:
         raise ValueError("p must lie strictly between 0 and 100")
-    i, j = _order_statistics(n, p)
-    if i == j:
-        return float(values[i])
-    a, b = float(values[i]), float(values[j])
-    mid = (a + b) / 2.0
-    # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0
-    return a / 2.0 + b / 2.0 if math.isinf(mid) else mid
+    # _quantiles halves first where the sum overflows; -inf and inf average to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_quantiles(np.asarray(values, dtype=float)[None, :], p)[0])
 
 
 def _order_statistics(n: int, p: float) -> tuple[int, int]:
@@ -61,6 +57,7 @@ def _quantiles(rows: np.ndarray, p: float) -> np.ndarray:
     i, j = _order_statistics(rows.shape[1], p)
     a, b = rows[:, i], rows[:, j]  # a == b gives a, by either rule
     mid = (a + b) / 2.0
+    # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0
     return np.where(np.isinf(mid), a / 2.0 + b / 2.0, mid)
 
 
@@ -79,8 +76,9 @@ class BallMeansTable:
     rows: tuple[BallMeansRow, ...]
 
     def write(self, path) -> None:
-        header = ("ball",) + self.variables + ("size",)
-        write_csv(path, header, [(r.ball, *r.means, r.size) for r in self.rows])
+        means = map(format_floats, zip(*(r.means for r in self.rows)))
+        write_cells(path, ("ball",) + self.variables + ("size",),
+                    zip([str(r.ball) for r in self.rows], *means, [str(r.size) for r in self.rows]))
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,11 @@ class BallDistributionTable:
     rows: tuple[BallDistributionRow, ...]
 
     def write(self, path) -> None:
+        # ball and size are ints; each statistic between them is a float, or None for an empty field
         header = [f.name for f in fields(BallDistributionRow)]
-        cells = attrgetter(*header)
-        write_csv(path, header, [["" if c is None else c for c in cells(r)] for r in self.rows])
+        ball, *stats, size = ([getattr(r, name) for r in self.rows] for name in header)
+        stats = [["" if v is None else t for v, t in zip(col, format_floats(col))] for col in stats]
+        write_cells(path, header, zip(map(str, ball), *stats, map(str, size)))
 
 
 def _refuse_overflow(ids: np.ndarray, stats: np.ndarray, names: Sequence[tuple[str, str]]) -> None:
@@ -138,12 +138,9 @@ def ball_groups_from_merged(raw: RawTable) -> _Groups:
 
 
 def _read_merged(path, names: Sequence[str]) -> tuple[_Groups, dict[str, np.ndarray]]:
-    """The ball groups and the named columns, as float64, of a merged CSV file: a
-    plain one read by numpy's C reader (_read_plain), any other by the streamed
-    reader, whose result the plain reader's equals and which makes every refusal."""
-    if (plain := _read_plain(path, names, merged=True)) is not None:
-        return _groups(plain[2].pop("ball")), plain[2]
-    header, ids, columns, bad = _read_streamed(path, names, merged=True)
+    """The ball groups and the named columns, as float64, of a merged CSV file read by
+    _read_table; refuses a name that is no column, then the column's first refused cell."""
+    header, ids, columns, bad = _read_table(path, names, merged=True)
     return _groups(ids), {name: _checked_column(header, name, columns, bad) for name in names}
 
 

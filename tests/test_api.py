@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "auto_csv_path", "ball_sizes", "ball_summary", "build_cover", "build_graph",
     "compute_layout", "connected_components", "correlation_matrix", "euclidean_distance",
     "gen_gaussian_cloud", "gen_x_dataset", "load_csv", "quantile", "render_boxplot_svg",
-    "render_graph_svg", "standardize", "validate_axes", "variable_summary", "write_csv",
+    "render_graph_svg", "standardize", "validate_axes", "variable_summary",
     "write_point_cloud_csv",
 }
 

@@ -20,7 +20,7 @@ import ballmapper as bm
 from ballmapper import cli, datagen, point_cloud, summary
 from ballmapper.cli import RESULTS_HEADER, _write_merged_csv, _write_results_csv, main
 from ballmapper.errors import ValidationError
-from ballmapper.point_cloud import format_value, write_cells
+from ballmapper.point_cloud import format_floats, write_cells
 
 from conftest import cover_from_members, laid_out_graphs
 
@@ -199,14 +199,15 @@ def test_merged_csv_matches_reference_writer(tmp_path_factory, inputs):
 
 
 def _write_results_reference(path, graph, positions):
-    """The results writer before its rows were f-string lines: cells through write_cells."""
-    xy = {b: (format_value(x), format_value(y)) for b, (x, y) in positions.items()}
+    """The results writer before its rows were f-string lines: cells through write_cells,
+    each float formatted on its own."""
+    xy = {b: (format_floats([x])[0], format_floats([y])[0]) for b, (x, y) in positions.items()}
     rows = []
     for n in graph.nodes:
         x, y = xy[n.ball]
         rows.append((
             "node", n.ball, x, y, n.size,
-            "" if n.color_mean is None else format_value(n.color_mean),
+            "" if n.color_mean is None else format_floats([n.color_mean])[0],
             "" if n.color_bin is None else n.color_bin,
             "", "", "", "", "",
         ))
@@ -822,8 +823,8 @@ def test_streamed_reader_holds_floats_and_one_chunk_not_the_text(tmp_path, monke
     # the file above is plain, so numpy's parser reads it; here the streamed
     # reader, the only one for quoted, CRLF or BOM files, is held to the same bound
     read, calls = point_cloud._read_streamed, []
-    monkeypatch.setattr(summary, "_read_plain", lambda *args, **kwargs: None)
-    monkeypatch.setattr(summary, "_read_streamed",
+    monkeypatch.setattr(point_cloud, "_read_plain", lambda *args, **kwargs: None)
+    monkeypatch.setattr(point_cloud, "_read_streamed",
                         lambda *args, **kwargs: calls.append(args) or read(*args, **kwargs))
     test_ball_summary_holds_floats_and_one_chunk_not_the_text(tmp_path)
     assert len(calls) == 1
@@ -891,12 +892,12 @@ def test_summaries_of_plain_files_match_the_streamed_reader(tmp_path_factory, me
     old_limit = csv.field_size_limit(limit)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(summary, "_read_plain", counted)
+            mp.setattr(point_cloud, "_read_plain", counted)
             got = _cli_summaries(str(tmp / "m.csv"), tmp / "either", numeric)
         # every command but variable-summary of 'ball' takes a fault-free file's fast path
         assert fault is not None or taken == [True] * (len(numeric) + 1) + [False]
         with pytest.MonkeyPatch.context() as mp:  # the streamed reader alone
-            mp.setattr(summary, "_read_plain", lambda *args, **kwargs: None)
+            mp.setattr(point_cloud, "_read_plain", lambda *args, **kwargs: None)
             assert _cli_summaries(str(tmp / "m.csv"), tmp / "streamed", numeric) == got
     finally:
         csv.field_size_limit(old_limit)
@@ -994,9 +995,9 @@ def _run_both_ways(inp, tmp, extra):
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_plain", counted)
-        mp.setattr(cli, "_read_streamed",
-                   lambda *args: streamed.append(args) or read_streamed(*args))
+        mp.setattr(point_cloud, "_read_plain", counted)
+        mp.setattr(point_cloud, "_read_streamed",
+                   lambda *args, **kwargs: streamed.append(args) or read_streamed(*args, **kwargs))
         with _calls_of(bm.load_csv, bm.validate_axes, bm.RawTable.numeric_column) as calls:
             got = _cli_run(inp, tmp / "either", extra)
     assert calls == []
@@ -1070,7 +1071,6 @@ RUN_DECLINED = {  # name: (input text, flags, exit code), each declined by the p
                                     ["--axes", "x,x"], 1),
     "whitespace_line": (PLAIN_RUN.replace("b\n", "b\n  \n"), [], 1),
     "repeated_axis": (PLAIN_RUN, ["--axes", "x,x"], 1),
-    "no_axis": (PLAIN_RUN, ["--axes", ","], 1),
     "unknown_axis": (PLAIN_RUN, ["--axes", "x,z"], 1),
     "unknown_color": (PLAIN_RUN, ["--color", "z"], 1),
     "no_data_rows": ("x,y,c,t\n\n", [], 1),
@@ -1098,9 +1098,21 @@ def test_run_declined_input_takes_load_csv_path(text, flags, code, tmp_path):
     finally:
         csv.field_size_limit(old_limit)
     assert got == want
-    assert True not in taken and streamed == 1  # no axis: the plain reader is not asked
+    assert True not in taken and streamed == 1  # the plain reader declined the input
     assert got[0] == code and got[2].count("\n") == (code != 0)
     assert got[2].startswith("error: ") or code == 0
+
+
+@pytest.mark.parametrize("text, plain", [
+    (PLAIN_RUN, True), (PLAIN_RUN.replace("\n", "\r\n"), False), ("x,y,c,t\n", False),
+], ids=["plain", "crlf", "no_data_rows"])
+def test_run_with_no_axis_is_refused_after_either_read(text, plain, tmp_path):
+    # whichever reader takes the input, no axis is refused, and before no data rows
+    (tmp_path / "in.csv").write_bytes(text.encode())
+    got, want, taken, streamed = _run_both_ways(
+        tmp_path / "in.csv", tmp_path, ["--axes", ",", "-e", "2", "--color", "c"])
+    assert got == want and taken == [plain] and streamed == (not plain)
+    assert got[:3] == (1, "", "error: at least one axis column is required\n")
 
 
 def test_run_refuses_the_row_major_first_cell_across_chunks(tmp_path):
@@ -1114,6 +1126,26 @@ def test_run_refuses_the_row_major_first_cell_across_chunks(tmp_path):
                                                 ["--axes", "x,y", "-e", "2", "--color", "c"])
     assert got == want and True not in taken and streamed == 1
     assert got[:3] == (1, "", "error: non-numeric cell 'bar' in column 'y' at row 100\n")
+
+
+@pytest.mark.parametrize("command", ["ball-summary", "variable-summary"])
+def test_summaries_refuse_the_first_cell_across_chunks(command, tmp_path, capsys):
+    # CRLF, so streamed: a's bad cells sit in the first and the second chunk, b's
+    # above a's first; a stream that keeps a later chunk's cell names 'foo', and a
+    # search in row-major order (run's, not the summaries') names b's 'baz'
+    lines = _merged_lines(point_cloud._CHUNK_ROWS + 10)
+    lines[1 + 50] = "1,2,baz,t"
+    lines[1 + 100] = "1,bar,3,t"
+    lines[1 + point_cloud._CHUNK_ROWS + 7] = "1,foo,3,t"
+    merged = tmp_path / "m.csv"
+    merged.write_text("\r\n".join(lines) + "\r\n", newline="")
+    argv = (["ball-summary", "--variables", "a,b"] if command == "ball-summary"
+            else ["variable-summary", "--variable", "a"])
+    assert run_cli(argv + ["--merged", merged, "-o", tmp_path / "o.csv"]) == 1
+    message = "error: non-numeric cell 'bar' in column 'a' at row 100\n"
+    assert capsys.readouterr().err == message
+    assert _library_summaries(str(merged), tmp_path / "library", ("a",))[:2] == [message] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["library", "m.csv"]
 
 
 def test_run_stream_holds_the_numbers_and_the_text_once(tmp_path):
@@ -1170,8 +1202,8 @@ def test_flag_errors_are_refused_before_the_input_is_read(flags, message, exists
                                                           monkeypatch):
     def unread(*args, **kwargs):
         raise AssertionError("run read its input")
-    monkeypatch.setattr(cli, "_read_plain", unread)
-    monkeypatch.setattr(cli, "_read_streamed", unread)
+    monkeypatch.setattr(point_cloud, "_read_plain", unread)
+    monkeypatch.setattr(point_cloud, "_read_streamed", unread)
     if exists:
         (tmp_path / "in.csv").write_text(PLAIN_RUN)
     got = _cli_run(tmp_path / "in.csv", tmp_path / "out", ["--axes", "x,y", "-e", "2", *flags])

@@ -222,6 +222,20 @@ class TestAssignBins:
         assert pal[-1] == "#d82c2c"
 
 
+@pytest.mark.parametrize("boundaries, palette", [
+    ((0.0, 1.0), ("#000000",) * 3),  # too few boundaries for the bins
+    ((0.0, 0.25, 0.5, 1.0), ("#000000",) * 2),  # too few colors
+    ((0.0, 0.25, 0.5, 0.75, 1.0), ("#000000",) * 4),  # one bin too many of both
+], ids=["boundaries", "palette", "both"])
+def test_inconsistent_color_scale_refused(boundaries, palette, line_cover):
+    # such a scale once reached the renderer, whose legend raised IndexError
+    with pytest.raises(ValueError, match="needs bin_count \\+ 1 boundaries and bin_count"):
+        bm.ColorScale(3, boundaries, palette)
+    scale = bm.ColorScale(3, (0.0, 0.25, 0.5, 1.0), ("#000000",) * 3)
+    graph = bm.build_graph(line_cover)
+    assert "<svg" in bm.render_graph_svg(graph, bm.compute_layout(graph), scale)
+
+
 class TestConnectedComponents:
     def make_graph(self, n_nodes, edges):
         nodes = tuple(bm.GraphNode(ball=b, size=1) for b in range(1, n_nodes + 1))

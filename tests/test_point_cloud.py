@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper import point_cloud
-from ballmapper.point_cloud import _parse_cell, csv_lines, format_floats, format_value
+from ballmapper.point_cloud import _parse_cell, csv_lines, format_floats
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -398,15 +398,12 @@ class TestCsvRoundTrip:
         back, _ = bm.validate_axes(bm.load_csv(path), ("x",))
         assert np.array_equal(back.values, cloud.values)
 
-    def test_format_value_shortest_forms(self):
-        assert format_value(1.0) == "1"
-        assert format_value(0.1) == "0.1"
-        assert format_value(5725.25) == "5725.25"
-        assert format_value("make") == "make"
+    def test_format_floats_shortest_forms(self):
+        assert format_floats([1.0, 0.1, 5725.25]) == ["1", "0.1", "5725.25"]
 
 
 def _format_float_reference(x) -> str:
-    """format_value's float rule as it was, one scalar at a time."""
+    """The CSV float rule as it was first written, one scalar at a time."""
     v = float(x)
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
@@ -429,7 +426,6 @@ def test_format_floats_matches_scalar_rule(values):
     want = [_format_float_reference(v) for v in values]
     assert format_floats(values) == want
     assert format_floats(np.array(values, dtype=float)) == want
-    assert [format_value(v) for v in values] == want
 
 
 def test_point_cloud_csv_bytes_at_format_edges(tmp_path):

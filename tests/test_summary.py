@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import struct
@@ -13,6 +14,7 @@ import ballmapper as bm
 from ballmapper import point_cloud, summary
 from ballmapper.errors import ValidationError
 from ballmapper.graph import _ball_means, _by_size
+from ballmapper.point_cloud import format_floats, write_cells
 
 from conftest import membership_matrix
 
@@ -27,6 +29,17 @@ def oracle_quantile(values, p):
         return (s[k - 1] + s[min(k, n - 1)]) / 2.0
     k = int(np.ceil(h))
     return s[k - 1]
+
+
+def quantile_reference(values, p):
+    """quantile's scalar code before it called _quantiles: the averaging rule on
+    Python floats, halving first where the sum overflows."""
+    i, j = summary._order_statistics(len(values), p)
+    if i == j:
+        return float(values[i])
+    a, b = float(values[i]), float(values[j])
+    mid = (a + b) / 2.0
+    return a / 2.0 + b / 2.0 if math.isinf(mid) else mid
 
 
 class TestQuantile:
@@ -49,6 +62,10 @@ class TestQuantile:
     def test_midpoint_that_overflows_halves_first(self):
         assert bm.quantile([1.7e308, 1.7e308], 50) == 1.7e308
         assert bm.quantile([5e-324, 5e-324], 50) == 5e-324  # halving first would give 0
+
+    def test_infinite_ends_average_as_python_floats_do(self):
+        assert math.isnan(bm.quantile([-math.inf, math.inf], 50))  # with no warning
+        assert bm.quantile([math.inf, math.inf], 50) == math.inf
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
@@ -73,8 +90,10 @@ class TestQuantile:
         rows = np.sort(np.array([values[i:] + values[:i] for i in range(balls)]), axis=1)
         with np.errstate(over="ignore"):  # a midpoint that overflows is halved first
             got = summary._quantiles(rows, p)
-        want = [bm.quantile(row, p) for row in rows.tolist()]
+        want = [quantile_reference(row, p) for row in rows.tolist()]
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        scalar = [bm.quantile(row, p) for row in rows.tolist()]
+        assert np.array(scalar).view(np.int64).tolist() == got.view(np.int64).tolist()
 
     def test_empty_and_bad_p(self):
         with pytest.raises(ValueError):
@@ -410,6 +429,52 @@ class TestVariableSummary:
         assert auto_cover.n_points == 74
 
 
+# ------------------------------------------ the tables' column writer
+
+
+def _write_table_reference(path, header, rows):
+    """The tables' writer as it was: each cell on its own, an int by str, a float by
+    the CSV float rule and None as an empty field, through write_cells."""
+    def cell(c):
+        return "" if c is None else str(c) if isinstance(c, int) else format_floats([c])[0]
+    write_cells(path, header, [[cell(c) for c in row] for row in rows])
+
+
+TABLE_NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                     min_size=1, max_size=4)  # UTF-8 text that csv.writer takes
+BALL_ID = st.integers(-2**63, 2**63 - 1)
+TABLE_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, 2.0**53 + 2, 5e-324]))
+
+
+@st.composite
+def means_tables(draw):
+    variables = tuple(draw(st.lists(TABLE_NAME, min_size=1, max_size=3, unique=True)))
+    rows = draw(st.lists(st.builds(summary.BallMeansRow, BALL_ID,
+                                   st.tuples(*[TABLE_FLOAT] * len(variables)),
+                                   st.integers(1, 10**6)), max_size=20))
+    return bm.BallMeansTable(variables, tuple(rows))
+
+
+DISTRIBUTION_ROWS = st.builds(summary.BallDistributionRow, BALL_ID, TABLE_FLOAT,
+                              st.one_of(st.none(), TABLE_FLOAT), *[TABLE_FLOAT] * 5,
+                              st.integers(1, 10**6))
+
+
+@given(means_tables(), st.lists(DISTRIBUTION_ROWS, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_tables_write_as_the_cell_by_cell_writer(tmp_path_factory, means, rows):
+    out = tmp_path_factory.mktemp("tables")
+    means.write(out / "means.csv")
+    _write_table_reference(out / "means_ref.csv", ("ball", *means.variables, "size"),
+                           [(r.ball, *r.means, r.size) for r in means.rows])
+    assert (out / "means.csv").read_bytes() == (out / "means_ref.csv").read_bytes()
+    summary.BallDistributionTable("v", tuple(rows)).write(out / "dist.csv")
+    header = [f.name for f in dataclasses.fields(summary.BallDistributionRow)]
+    _write_table_reference(out / "dist_ref.csv", header,
+                           [[getattr(r, name) for name in header] for r in rows])
+    assert (out / "dist.csv").read_bytes() == (out / "dist_ref.csv").read_bytes()
+
+
 # ------------------------------------------ the plain-file reader (numpy's C parser)
 
 GAUSS5_NAMES = ("x1", "x2", "x3", "x4", "x5", "c")
@@ -474,9 +539,11 @@ READ = {  # name: a change to the lines that leaves the file plain
 
 
 def _read_plain_merged(path, names):
-    """The plain reader's result for a merged file as (groups, columns), or None."""
+    """The plain reader's result for a merged file as (groups, columns), or None; it
+    holds the names' columns alone, and no refused cell."""
     plain = point_cloud._read_plain(path, names, merged=True)
-    return plain and (summary._groups(plain[2].pop("ball")), plain[2])
+    assert plain is None or (set(plain[2]) == set(names) and plain[3] == {})
+    return plain and (summary._groups(plain[1]), plain[2])
 
 
 def _read_streamed_merged(path, names):
