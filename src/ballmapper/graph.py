@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -194,25 +193,17 @@ def connected_components(graph: MapperGraph) -> list[list[int]]:
 
     Components are sorted by their smallest ball id, members ascending.
     """
-    adjacency: dict[int, list[int]] = {n.ball: [] for n in graph.nodes}
-    for e in graph.edges:
-        adjacency[e.source].append(e.target)
-        adjacency[e.target].append(e.source)
+    parent = {n.ball: n.ball for n in graph.nodes}
 
-    seen = set()
-    components = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
+    def root(b: int) -> int:
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]  # halve the path as it is walked
+        return b
+
+    for e in graph.edges:
+        a, b = root(e.source), root(e.target)
+        parent[max(a, b)] = min(a, b)  # a root is its component's smallest id
+    components: dict[int, list[int]] = {}
+    for b in sorted(parent):  # a component is first met at its smallest id, its root
+        components.setdefault(root(b), []).append(b)
+    return list(components.values())

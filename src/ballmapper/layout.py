@@ -19,7 +19,7 @@ DEFAULT_ATTRACTION = 0.01
 DEFAULT_ITERATIONS = 500
 STEP_START = 0.1
 STEP_END = 0.001
-_MIN_DIST = 1e-12  # coincident nodes exert no repulsion on each other
+_MIN_DIST = 1e-12  # nodes this close exert no repulsion on each other
 _TILE = 64  # columns per repulsion block: scratch is O(B * _TILE), not O(B^2)
 
 
@@ -49,6 +49,7 @@ def _simulate(
     width = min(n, _TILE)
     diff = np.empty((2, n, width))
     d2 = np.empty((n, width))
+    near = np.empty((n, width), dtype=bool)
     push = np.empty((2, n))
     # Every block is a full `width` columns wide: the last one starts at
     # n - width and recomputes columns an earlier block already wrote, with
@@ -72,33 +73,25 @@ def _simulate(
             np.einsum("ajk,ajk->jk", diff, diff, out=d2)
             if wide and np.isinf(d2).any():
                 raise FloatingPointError("overflow encountered in einsum")
-            # Node i on itself: the weight r / inf = +0 is the +0 the mask
-            # below would give, so one min tells whether any other pair is
-            # coincident, and the mask only runs when one is.
-            np.fill_diagonal(d2[s:e], np.inf)
-            if d2.min() <= _MIN_DIST ** 2:  # coincident nodes exert no repulsion
-                coincident = d2 <= _MIN_DIST ** 2
-                np.maximum(d2, _MIN_DIST ** 2, out=d2)
-                np.divide(repulsion, d2, out=d2)
-                np.copyto(d2, 0.0, where=coincident)
-            else:
-                np.divide(repulsion, d2, out=d2)
+            # A node on itself (d2 = 0) or within _MIN_DIST of another weighs
+            # r / inf = +0: no repulsion. Its weight clamped at _MIN_DIST,
+            # r / _MIN_DIST**2, must still fit in float64, as the reference's must.
+            np.less_equal(d2, _MIN_DIST ** 2, out=near)
+            if np.count_nonzero(near) > width:  # a near pair besides each node and itself
+                np.divide(repulsion, _MIN_DIST ** 2)
+            np.copyto(d2, np.inf, where=near)
+            np.divide(repulsion, d2, out=d2)
             np.einsum("ajk,jk->ak", diff, d2, out=push[:, s:e])
         if not np.isfinite(push).all():
             raise FloatingPointError("overflow encountered in einsum")
 
-        disp = push.T
-        if edge_index.size:
-            delta = pos[edge_index[:, 0]] - pos[edge_index[:, 1]]
-            pull = attraction * delta
-            np.subtract.at(disp, edge_index[:, 0], pull)
-            np.add.at(disp, edge_index[:, 1], pull)
+        disp = push.T  # ufunc.at on an edgeless graph's empty index does nothing
+        pull = attraction * (pos[edge_index[:, 0]] - pos[edge_index[:, 1]])
+        np.subtract.at(disp, edge_index[:, 0], pull)
+        np.add.at(disp, edge_index[:, 1], pull)
 
         norms = np.sqrt((disp ** 2).sum(axis=1))
-        factor = np.ones(n)
-        moving = norms > step
-        factor[moving] = step / norms[moving]
-        pos += disp * factor[:, None]
+        pos += disp * (step / np.maximum(norms, step))[:, None]
     return pos
 
 

@@ -83,11 +83,10 @@ def render_graph_svg(
         x2, y2 = px[e.target]
         parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"{line_tail}')
 
-    radii = {}
+    labels = []
     for n in graph.nodes:
         cx, cy = px[n.ball]
         r = _disc_radius(n.size, max_size)
-        radii[n.ball] = r
         if scale is not None and n.color_bin is not None:
             fill = scale.color_for_bin(n.color_bin)
         else:
@@ -96,16 +95,13 @@ def render_graph_svg(
             f'<circle cx="{cx}" cy="{cy}" r="{_num(r)}" fill="{fill}" '
             f'stroke="{NODE_STROKE}" stroke-width="1"/>'
         )
-
-    if options.show_labels:
-        for n in graph.nodes:
-            cx, cy = px[n.ball]
-            font = max(8.0, 0.9 * radii[n.ball])
-            parts.append(
-                f'<text x="{cx}" y="{cy}" font-size="{_num(font)}" '
+        if options.show_labels:
+            labels.append(
+                f'<text x="{cx}" y="{cy}" font-size="{_num(max(8.0, 0.9 * r))}" '
                 f'font-family="sans-serif" text-anchor="middle" '
                 f'dominant-baseline="central">{n.ball}</text>'
             )
+    parts.extend(labels)  # every label above every disc
 
     if legend_w:
         parts.extend(_legend(scale))

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
@@ -234,6 +234,63 @@ def test_inconsistent_color_scale_refused(boundaries, palette, line_cover):
     scale = bm.ColorScale(3, (0.0, 0.25, 0.5, 1.0), ("#000000",) * 3)
     graph = bm.build_graph(line_cover)
     assert "<svg" in bm.render_graph_svg(graph, bm.compute_layout(graph), scale)
+
+
+def _components_reference(graph):
+    """The breadth-first walk that connected_components once was, kept as its oracle."""
+    adjacency = {n.ball: [] for n in graph.nodes}
+    for e in graph.edges:
+        adjacency[e.source].append(e.target)
+        adjacency[e.target].append(e.source)
+
+    seen = set()
+    components = []
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        queue = deque([start])
+        seen.add(start)
+        comp = []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        components.append(sorted(comp))
+    return components
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs over unsorted, non-contiguous ball ids with isolated nodes, random
+    edges either way round, and chains walked from their largest id, so that
+    their smallest id sits at the far end."""
+    ids = draw(st.lists(st.integers(1, 10_000), unique=True, min_size=1, max_size=120))
+    ball = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(ball, ball), max_size=len(ids)))
+    chain = st.lists(ball, unique=True, min_size=2)
+    chains = draw(st.lists(chain, max_size=3)) if len(ids) > 1 else []
+    for chain in chains:
+        chain.sort(reverse=True)
+        flips = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
+        pairs += [(b, a) if flip else (a, b) for a, b, flip in zip(chain, chain[1:], flips)]
+    nodes = tuple(bm.GraphNode(ball=b, size=1) for b in ids)
+    return bm.MapperGraph(nodes, tuple(bm.GraphEdge(a, b, 1) for a, b in pairs))
+
+
+@given(component_graphs())
+@settings(max_examples=300, deadline=None)
+def test_components_match_breadth_first_reference(graph):
+    assert bm.connected_components(graph) == _components_reference(graph)
+
+
+def test_long_chain_from_its_largest_id_is_one_component():
+    ids = list(range(5000, 0, -1))
+    graph = bm.MapperGraph(tuple(bm.GraphNode(ball=b, size=1) for b in ids),
+                           tuple(bm.GraphEdge(a, b, 1) for a, b in zip(ids, ids[1:])))
+    assert bm.connected_components(graph) == _components_reference(graph) == [ids[::-1]]
 
 
 class TestConnectedComponents:

@@ -245,6 +245,37 @@ class TestSimulateMatchesReference:
         if want is not None:
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("gap, moves", [
+        (_MIN_DIST, False), (np.nextafter(_MIN_DIST, 1), True),
+    ], ids=["at_min_dist", "one_ulp_past"])
+    def test_min_dist_boundary_is_inclusive(self, gap, moves):
+        """Two nodes exactly _MIN_DIST apart on one axis exert no repulsion on
+        each other; one ulp further apart they do. `<` for `<=` fails here."""
+        pos = np.array([[0.0, 0.0], [gap, 0.0]])
+        assert (gap * gap > _MIN_DIST ** 2) == moves  # the pair's d2 against the bound
+        args = (pos, np.empty((0, 2), dtype=int), 0.05, 0.01, 1)
+        out = _simulate(*args)
+        assert out.view(np.int64).tolist() == _simulate_reference(*args).view(np.int64).tolist()
+        assert np.array_equal(out, pos) != moves
+
+    @pytest.mark.parametrize("gap", [0.0, _MIN_DIST])
+    @pytest.mark.parametrize("repulsion, raises", [(1e284, False), (1e285, True)])
+    def test_near_pair_weight_overflow_raises_as_reference(self, gap, repulsion, raises):
+        """Nodes within _MIN_DIST of each other exert no repulsion, but the
+        reference clamps their distance to _MIN_DIST before it zeroes their
+        weight, so r / _MIN_DIST**2 overflows (and raises) from r > 1.8e284.
+        With every pair that close no force overflows to raise it instead."""
+        args = (np.array([[0.0, 0.0], [gap, 0.0]]), np.empty((0, 2), dtype=int), repulsion,
+                0.01, 1)
+        with np.errstate(over="raise"):
+            if raises:
+                with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+                    _simulate_reference(*args)
+                with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+                    _simulate(*args)
+            else:
+                assert np.array_equal(_simulate(*args), _simulate_reference(*args))
+
     def test_input_positions_untouched(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
         before = pos.copy()
