@@ -151,8 +151,8 @@ def render_boxplot_svg(stats, title: str = "") -> str:
     plot_h = HEIGHT - top - bottom
     lo = min(r.min for r in rows)
     hi = max(r.max for r in rows)
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
+    if hi <= lo:  # past 2**53, v - 1.0 == v: widen by a float64 step instead
+        lo, hi = lo - max(1.0, math.ulp(lo)), hi + max(1.0, math.ulp(hi))
     if not math.isfinite(hi - lo):
         raise ValidationError(
             f"the values from {lo!r} to {hi!r} span more than float64 can hold"

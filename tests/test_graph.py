@@ -1,3 +1,4 @@
+import math
 from collections import Counter, deque
 from itertools import combinations
 
@@ -220,6 +221,41 @@ class TestAssignBins:
         assert len(pal) == 8
         assert pal[0] == "#2c4fd8"
         assert pal[-1] == "#d82c2c"
+
+
+def _bin_by_formula(scale, mean):
+    """README's colour-bin rule: clamp(floor((mean - b0) / w) + 1, 1, bins)."""
+    b0, b_last = scale.boundaries[0], scale.boundaries[-1]
+    if b_last <= b0:
+        return 1
+    w = (b_last - b0) / scale.bin_count
+    return min(max(math.floor((mean - b0) / w) + 1, 1), scale.bin_count)
+
+
+ON_BOUNDARY = (-48.98619485211566, -36.60019153358891, 0.5578184219913425)
+
+
+@given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=12),
+       st.integers(1, MAX_BIN_COUNT), st.lists(st.integers(0, MAX_BIN_COUNT), max_size=6))
+@example(list(ON_BOUNDARY), 4, [])
+@settings(max_examples=300, deadline=None)
+def test_assign_bins_follows_the_documented_formula(means, bin_count, on_boundary):
+    # means placed exactly on boundaries of the scale the first means span
+    boundaries = bm.assign_bins(_graph_of_means(means), bin_count)[0].boundaries
+    means = means + [boundaries[i % (bin_count + 1)] for i in on_boundary]
+    scale, graph = bm.assign_bins(_graph_of_means(means), bin_count)
+    assert [n.color_bin for n in graph.nodes] == [_bin_by_formula(scale, m) for m in means]
+
+
+def test_mean_on_an_interior_boundary_may_fall_below_it():
+    # (mean - b0) / w is 0.9999999999999997, so bin 1 holds boundaries[1]
+    scale, graph = bm.assign_bins(_graph_of_means(list(ON_BOUNDARY)), 4)
+    assert scale.boundaries[1] == ON_BOUNDARY[1]
+    assert [n.color_bin for n in graph.nodes] == [1, 1, 4]
+
+
+def _graph_of_means(means):
+    return bm.MapperGraph(tuple(bm.GraphNode(b, 1, m) for b, m in enumerate(means, 1)), ())
 
 
 @pytest.mark.parametrize("boundaries, palette", [
