@@ -11,8 +11,8 @@ from .cover import BallCover
 from .errors import ValidationError
 
 DEFAULT_BIN_COUNT = 8
-# The legend rows that fit the 640 px graph canvas: a row's 14 px swatch starts
-# 20 px below the one above it, the first at y 30, so (640 - 30 - 14) // 20 + 1.
+# The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
+# _LEGEND_PITCH and _SWATCH: a 31st row's swatch would end past its foot.
 MAX_BIN_COUNT = 30
 # Documented palette endpoints: low bins blue, high bins red.
 PALETTE_LOW = (0x2C, 0x4F, 0xD8)
@@ -51,8 +51,8 @@ class MapperGraph:
 class ColorScale:
     """Equal-width bins over the ball-mean range, one palette color per bin.
 
-    Bins are half-open [lo, hi) except the last, which is closed. A degenerate
-    range (all means equal) maps everything to bin 1.
+    A mean m is in bin clamp(floor((m - b0) / w) + 1, 1, bins), so on a boundary
+    it may round to either side. All means equal (no range) map to bin 1.
     """
 
     bin_count: int

@@ -27,6 +27,13 @@ SVG_OPEN = (
     f'viewBox="0 0 {WIDTH} {HEIGHT}">'
 )
 BACKGROUND_RECT = f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>'
+# the legend's rows: a 14 px swatch every 20 px from y 30; graph.MAX_BIN_COUNT fit
+_LEGEND_TOP, _LEGEND_PITCH, _SWATCH = 30, 20, 14
+
+
+def _document(parts: list[str]) -> str:
+    """Both SVGs' frame: the canvas and its background, the parts, one per line."""
+    return "\n".join([SVG_OPEN, BACKGROUND_RECT, *parts, "</svg>\n"])
 
 
 def _escape(text: str) -> str:
@@ -76,7 +83,7 @@ def render_graph_svg(
     # each ball's pixel position, formatted once for its edges, disc and label
     px = {ball: tuple(map(_num, to_px(xy))) for ball, xy in positions.items()}
     max_size = max(n.size for n in graph.nodes)
-    parts = [SVG_OPEN, BACKGROUND_RECT]
+    parts = []
     line_tail = f' stroke="{EDGE_COLOR}" stroke-width="{_num(EDGE_WIDTH)}"/>'
     for e in graph.edges:
         x1, y1 = px[e.source]
@@ -102,32 +109,23 @@ def render_graph_svg(
                 f'dominant-baseline="central">{n.ball}</text>'
             )
     parts.extend(labels)  # every label above every disc
-
     if legend_w:
         parts.extend(_legend(scale))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)
 
 
 def _legend(scale: ColorScale) -> list[str]:
+    """The title, then one swatch and its bin's range per row, top bin first."""
     x = WIDTH - 158
-    parts = [
-        f'<text x="{x}" y="20" font-size="12" font-family="sans-serif">mean</text>'
-    ]
+    parts = [f'<text x="{x}" y="20" font-size="12" font-family="sans-serif">mean</text>']
     for b in range(scale.bin_count, 0, -1):
-        lo = scale.boundaries[b - 1]
-        hi = scale.boundaries[b]
-        y = 30 + (scale.bin_count - b) * 20
+        y = _LEGEND_TOP + (scale.bin_count - b) * _LEGEND_PITCH
         close = "]" if b == scale.bin_count else ")"
-        label = _escape(f"[{lo:.4g}, {hi:.4g}{close}")
+        span = _escape(f"[{scale.boundaries[b - 1]:.4g}, {scale.boundaries[b]:.4g}{close}")
         parts.append(
-            f'<rect x="{x}" y="{y}" width="14" height="14" '
-            f'fill="{scale.color_for_bin(b)}" stroke="{NODE_STROKE}"/>'
-        )
-        parts.append(
-            f'<text x="{x + 20}" y="{y + 11}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
+            f'<rect x="{x}" y="{y}" width="{_SWATCH}" height="{_SWATCH}" '
+            f'fill="{scale.color_for_bin(b)}" stroke="{NODE_STROKE}"/>\n'
+            f'<text x="{x + 20}" y="{y + 11}" font-size="11" font-family="sans-serif">{span}</text>'
         )
     return parts
 
@@ -161,62 +159,37 @@ def render_boxplot_svg(stats, title: str = "") -> str:
     def to_y(v):
         return top + (hi - v) / (hi - lo) * plot_h
 
-    parts = [SVG_OPEN, BACKGROUND_RECT]
-    if title:
-        parts.append(
-            f'<text x="{left}" y="18" font-size="13" font-family="sans-serif">'
-            f"{_escape(title)}</text>"
-        )
-
-    # y axis with a handful of value ticks
-    axis_x = left - 8
-    parts.append(
-        f'<line x1="{axis_x}" y1="{_num(to_y(hi))}" x2="{axis_x}" y2="{_num(to_y(lo))}" '
-        f'stroke="#444444" stroke-width="1"/>'
-    )
+    line = '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="#444444" stroke-width="1"/>'.format
+    parts = [f'<text x="{left}" y="18" font-size="13" font-family="sans-serif">'
+             f"{_escape(title)}</text>"] if title else []
+    axis_x = left - 8  # the y axis, with a handful of value ticks
+    parts.append(line(axis_x, _num(to_y(hi)), axis_x, _num(to_y(lo))))
     for i in range(5):
         v = lo + (hi - lo) * (i / 4)  # (hi - lo) * i could overflow
         y = to_y(v)
         parts.append(
-            f'<line x1="{axis_x - 4}" y1="{_num(y)}" x2="{axis_x}" y2="{_num(y)}" '
-            f'stroke="#444444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{axis_x - 6}" y="{_num(y + 4)}" font-size="10" '
-            f'font-family="sans-serif" text-anchor="end">{v:.4g}</text>'
+            f'{line(axis_x - 4, _num(y), axis_x, _num(y))}\n<text x="{axis_x - 6}" '
+            f'y="{_num(y + 4)}" font-size="10" font-family="sans-serif" '
+            f'text-anchor="end">{v:.4g}</text>'
         )
 
     slot = plot_w / len(rows)
     box_w = slot * 0.5
+    width = _num(box_w)
     for i, r in enumerate(rows):
         cx = left + (i + 0.5) * slot
-        y_min, y_max = to_y(r.min), to_y(r.max)
         y_q25, y_q75 = to_y(r.q25), to_y(r.q75)
-        y_med = to_y(r.q50)
+        x, cap_l, cap_r, box_l, box_r = map(
+            _num, (cx, cx - box_w / 4, cx + box_w / 4, cx - box_w / 2, cx + box_w / 2))
+        y_min, y_max, q75, med = map(_num, (to_y(r.min), to_y(r.max), y_q75, to_y(r.q50)))
         parts.append(
-            f'<line x1="{_num(cx)}" y1="{_num(y_max)}" x2="{_num(cx)}" y2="{_num(y_min)}" '
-            f'stroke="#444444" stroke-width="1"/>'
+            f'{line(x, y_max, x, y_min)}\n{line(cap_l, y_min, cap_r, y_min)}\n'
+            f'{line(cap_l, y_max, cap_r, y_max)}\n'
+            f'<rect x="{box_l}" y="{q75}" width="{width}" height="{_num(y_q25 - y_q75)}" '
+            f'fill="#9db8e8" stroke="#2c4fd8" stroke-width="1"/>\n'
+            f'<line x1="{box_l}" y1="{med}" x2="{box_r}" y2="{med}" '
+            f'stroke="#1a1a1a" stroke-width="1.5"/>\n'
+            f'<text x="{x}" y="{HEIGHT - 14}" font-size="10" font-family="sans-serif" '
+            f'text-anchor="middle">{r.ball}</text>'
         )
-        for y_cap in (y_min, y_max):
-            parts.append(
-                f'<line x1="{_num(cx - box_w / 4)}" y1="{_num(y_cap)}" '
-                f'x2="{_num(cx + box_w / 4)}" y2="{_num(y_cap)}" '
-                f'stroke="#444444" stroke-width="1"/>'
-            )
-        parts.append(
-            f'<rect x="{_num(cx - box_w / 2)}" y="{_num(y_q75)}" width="{_num(box_w)}" '
-            f'height="{_num(y_q25 - y_q75)}" fill="#9db8e8" stroke="#2c4fd8" '
-            f'stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line x1="{_num(cx - box_w / 2)}" y1="{_num(y_med)}" '
-            f'x2="{_num(cx + box_w / 2)}" y2="{_num(y_med)}" '
-            f'stroke="#1a1a1a" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_num(cx)}" y="{HEIGHT - 14}" font-size="10" '
-            f'font-family="sans-serif" text-anchor="middle">{r.ball}</text>'
-        )
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)

@@ -129,6 +129,10 @@ class TestRenderGraphSvg:
         assert len(rects) == 1 + MAX_BIN_COUNT and len(texts) == 1 + MAX_BIN_COUNT
         assert max(float(el.get("y")) + float(el.get("height")) for el in rects) <= render.HEIGHT
         assert max(float(el.get("y")) + float(el.get("font-size")) for el in texts) <= render.HEIGHT
+        # the cap is tight: a 31st row's swatch would end at 644, past the canvas
+        last = max(float(el.get("y")) for el in rects)
+        assert last == render._LEGEND_TOP + (MAX_BIN_COUNT - 1) * render._LEGEND_PITCH
+        assert last + render._LEGEND_PITCH + render._SWATCH == 644 > render.HEIGHT
 
     def test_positions_must_cover_nodes(self, line_cover):
         g = bm.build_graph(line_cover)
