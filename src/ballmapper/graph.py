@@ -12,7 +12,7 @@ from .errors import ValidationError
 
 DEFAULT_BIN_COUNT = 8
 # The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
-# _LEGEND_PITCH and _SWATCH: a 31st row's swatch would end past its foot.
+# _LEGEND_PITCH and _SWATCH: a 31st row's swatch would end at y 644, past 640.
 MAX_BIN_COUNT = 30
 # Documented palette endpoints: low bins blue, high bins red.
 PALETTE_LOW = (0x2C, 0x4F, 0xD8)
