@@ -149,12 +149,12 @@ def render_boxplot_svg(stats, title: str = "") -> str:
     plot_h = HEIGHT - top - bottom
     lo = min(r.min for r in rows)
     hi = max(r.max for r in rows)
+    fault = f"the values from {lo!r} to {hi!r} span more than float64 can hold"
     if hi <= lo:  # past 2**53, v - 1.0 == v: widen by a float64 step instead
+        fault = f"every value is {lo!r}: float64 leaves no room for an axis around it"
         lo, hi = lo - max(1.0, math.ulp(lo)), hi + max(1.0, math.ulp(hi))
     if not math.isfinite(hi - lo):
-        raise ValidationError(
-            f"the values from {lo!r} to {hi!r} span more than float64 can hold"
-        )
+        raise ValidationError(fault)
 
     def to_y(v):
         return top + (hi - v) / (hi - lo) * plot_h

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballmapper as bm
@@ -83,6 +83,25 @@ class TestComputeLayout:
             with pytest.raises(ValidationError, match="layout overflows float64"):
                 bm.compute_layout(g, **force)
 
+    # The repulsions at which compute_layout refused at the commit before the
+    # near-pair clamp and the squared-distance check left _simulate: neither
+    # could fire from a circle start, so the table must not move.
+    @pytest.mark.parametrize("repulsion", [1e150, 1e154, 1e155, 1e200, 1e284, 1e285, 1e300,
+                                           1.7e308])
+    @pytest.mark.parametrize("n_nodes, edges, refused_from", [
+        (2, (), 1e155), (3, [(1, 2)], 1e155), (None, (), 1e154),
+    ], ids=["two_nodes", "three_nodes", "auto"])
+    def test_refuses_at_the_same_repulsions(self, auto_cover, n_nodes, edges, refused_from,
+                                            repulsion):
+        g = make_graph(n_nodes, edges) if n_nodes else bm.build_graph(auto_cover)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if repulsion >= refused_from:
+                with pytest.raises(ValidationError, match="layout overflows float64"):
+                    bm.compute_layout(g, repulsion=repulsion)
+            else:
+                assert len(bm.compute_layout(g, repulsion=repulsion)) == g.n_nodes
+
 
 class TestForceDynamics:
     """One-step behavior of the raw update rule, before any rescaling."""
@@ -114,7 +133,9 @@ def _simulate_reference(
     attraction: float,
     iterations: int,
 ) -> np.ndarray:
-    """The original B x B x 2 tensor loop, kept verbatim as the oracle."""
+    """The original B x B x 2 tensor loop, kept as the oracle, except that a
+    pair within _MIN_DIST weighs r / inf = +0 without a weight clamped to
+    r / _MIN_DIST**2, which would overflow from r > 1.8e284."""
     pos = np.array(pos, dtype=float)
     n = pos.shape[0]
     for t in range(iterations):
@@ -126,7 +147,7 @@ def _simulate_reference(
         diff = pos[:, None, :] - pos[None, :, :]
         d2 = (diff ** 2).sum(axis=2)
         np.fill_diagonal(d2, 1.0)
-        safe = np.maximum(d2, _MIN_DIST ** 2)
+        safe = np.where(d2 <= _MIN_DIST ** 2, np.inf, d2)
         scale = repulsion / safe
         scale[d2 <= _MIN_DIST ** 2] = 0.0
         np.fill_diagonal(scale, 0.0)
@@ -214,10 +235,7 @@ class TestSimulateMatchesReference:
         # the outer nodes' sums overflow to -inf and +inf, the middle one's is
         # 0: no square of a push overflows, so only a check of the sums refuses
         ([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 1.5e308),
-        # each squared axis finite, their sum not: the pair's weight would be
-        # r / inf = 0, and every push finite
-        ([(0.0, 0.0), (1e154, 1e154), (0.0, 1.0)], 0.05),
-    ], ids=["force_sum", "force_sums_to_infinities", "squared_distance"])
+    ], ids=["force_sum", "force_sums_to_infinities"])
     def test_overflowing_sum_raises(self, pos, repulsion):
         args = (np.array(pos), np.empty((0, 2), dtype=int), repulsion, 0.01, 1)
         with np.errstate(over="raise"):
@@ -226,7 +244,25 @@ class TestSimulateMatchesReference:
             with pytest.raises(FloatingPointError):
                 _simulate(*args)
 
+    @given(n=st.integers(2, 40), iterations=st.integers(1, 30), log_rep=st.floats(0.0, 100.0),
+           log_att=st.floats(0.0, 100.0), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_positions_span_within_the_step_bound(self, n, iterations, log_rep, log_att, data):
+        """From compute_layout's circle start every node moves at most
+        STEP_START a round, so after T rounds no |coordinate| passes 1 + 0.1 T
+        (up to rounding), even when every force is huge: the positions span
+        far less than sqrt(DBL_MAX), and no squared distance can overflow."""
+        pos, _ = circle_start(make_graph(n))
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        args = (np.array(edges, dtype=int).reshape(-1, 2), 10.0 ** log_rep, 10.0 ** log_att,
+                iterations)
+        with np.errstate(over="raise"):
+            out = _simulate(pos, *args)
+        assert np.abs(out).max() <= (1.0 + STEP_START * iterations) * (1.0 + 1e-12)
+
     @given(force_inputs(), st.floats(-4.0, 308.0), st.floats(-4.0, 308.0))
+    @example((np.zeros((2, 2)), np.empty((0, 2), dtype=int), 1e285, 0.01, 1), 285.0, -2.0)
     @settings(max_examples=200, deadline=None)
     def test_raises_exactly_when_reference_raises(self, inputs, log_rep, log_att):
         """Forces log-uniform up to 1e308: einsum sets no overflow flag, so
@@ -259,22 +295,17 @@ class TestSimulateMatchesReference:
         assert np.array_equal(out, pos) != moves
 
     @pytest.mark.parametrize("gap", [0.0, _MIN_DIST])
-    @pytest.mark.parametrize("repulsion, raises", [(1e284, False), (1e285, True)])
-    def test_near_pair_weight_overflow_raises_as_reference(self, gap, repulsion, raises):
-        """Nodes within _MIN_DIST of each other exert no repulsion, but the
-        reference clamps their distance to _MIN_DIST before it zeroes their
-        weight, so r / _MIN_DIST**2 overflows (and raises) from r > 1.8e284.
-        With every pair that close no force overflows to raise it instead."""
+    @pytest.mark.parametrize("repulsion", [1e284, 1e285, 1.7e308])
+    def test_near_pairs_exert_no_force_at_any_repulsion(self, gap, repulsion):
+        """Nodes within _MIN_DIST of each other weigh r / inf = +0, so neither
+        path computes a clamped weight r / _MIN_DIST**2 that could overflow:
+        past 1.8e284 neither raises, and with every pair that close no node moves."""
         args = (np.array([[0.0, 0.0], [gap, 0.0]]), np.empty((0, 2), dtype=int), repulsion,
                 0.01, 1)
         with np.errstate(over="raise"):
-            if raises:
-                with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
-                    _simulate_reference(*args)
-                with pytest.raises(FloatingPointError, match="overflow encountered in divide"):
-                    _simulate(*args)
-            else:
-                assert np.array_equal(_simulate(*args), _simulate_reference(*args))
+            out = _simulate(*args)
+            assert out.view(np.int64).tolist() == _simulate_reference(*args).view(np.int64).tolist()
+        assert np.array_equal(out, args[0])
 
     def test_input_positions_untouched(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5]])
@@ -298,20 +329,20 @@ def test_scratch_memory_bounded():
     assert peak <= 4 * 8 * _TILE * n
 
 
+def _wide_floats(rng, *shape):
+    """Signed values over most of float64's exponents, subnormals included,
+    whose products, squares and sums of a few hundred stay finite."""
+    magnitude = rng.uniform(1.0, 2.0, size=shape) * np.exp2(rng.integers(-540, 500, size=shape))
+    return rng.choice([-1.0, 1.0], size=shape) * magnitude
+
+
 @st.composite
 def einsum_operands(draw):
-    """A (2, H, T) difference plane and an (H, T) weight plane whose values
-    span most of float64's exponents, subnormals included, but whose products
-    and column sums stay finite."""
+    """A (2, H, T) difference plane and an (H, T) weight plane."""
     width = draw(st.sampled_from([2, 3, 17, 63, 64]))
     height = draw(st.integers(2, 500))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-
-    def plane(*shape):
-        magnitude = rng.uniform(1.0, 2.0, size=shape) * np.exp2(rng.integers(-540, 500, size=shape))
-        return rng.choice([-1.0, 1.0], size=shape) * magnitude
-
-    return plane(2, height, width), plane(height, width)
+    return _wide_floats(rng, 2, height, width), _wide_floats(rng, height, width)
 
 
 @given(einsum_operands())
@@ -331,3 +362,33 @@ def test_numpy_einsum_is_multiply_add_bit_for_bit(operands):
     np.einsum("ajk,jk->ak", diff, weight, out=push[:, 1:width + 1])
     want = np.stack([np.multiply(diff[a], weight).sum(axis=0) for a in range(2)])
     assert push[:, 1:width + 1].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@st.composite
+def edge_operands(draw):
+    """A (2, B) push, a (2, E) pull and head and tail indices that repeat
+    nodes, as a graph's edges do."""
+    n = draw(st.integers(1, 70))
+    m = draw(st.integers(0, 4 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    heads, tails = rng.integers(0, draw(st.integers(1, n)), size=(2, m))
+    return _wide_floats(rng, 2, n), _wide_floats(rng, 2, m), heads, tails
+
+
+@given(edge_operands())
+@settings(max_examples=150, deadline=None)
+def test_numpy_column_forms_are_row_forms_bit_for_bit(operands):
+    """_simulate's (2, B) forms against the (B, 2) ones they replaced: ufunc.at
+    on (slice(None), idx) applies an index's repeats in the order of the
+    row form, and (p ** 2).sum(axis=0) is (p.T ** 2).sum(axis=1). A numpy
+    build that applies repeats in another order fails here, and so would the pins."""
+    push, pull, heads, tails = operands
+    cols = push.copy()
+    np.subtract.at(cols, (slice(None), heads), pull)
+    np.add.at(cols, (slice(None), tails), pull)
+    rows = np.ascontiguousarray(push.T)
+    np.subtract.at(rows, heads, pull.T)
+    np.add.at(rows, tails, pull.T)
+    assert cols.T.view(np.int64).tolist() == rows.view(np.int64).tolist()
+    got, want = (cols ** 2).sum(axis=0), (cols.T ** 2).sum(axis=1)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
