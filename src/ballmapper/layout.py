@@ -2,8 +2,8 @@
 
 No randomness anywhere: nodes start evenly spaced on a unit circle in ball id
 order, then repeated rounds of pairwise repulsion and edge attraction with a
-linearly cooling step cap. Identical inputs give bitwise-identical positions,
-so downstream SVG output is byte-stable.
+linearly cooling step cap. Identical inputs give bitwise-identical positions
+on one machine and numpy version, so downstream SVG output is byte-stable.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ DEFAULT_ITERATIONS = 500
 STEP_START = 0.1
 STEP_END = 0.001
 _MIN_DIST = 1e-12  # nodes this close exert no repulsion on each other
-_TILE = 64  # columns per repulsion block: scratch is O(B * _TILE), not O(B^2)
+_TILE = 128  # nodes per repulsion stripe: scratch is O(B * _TILE), not O(B^2)
 
 
 def _simulate(
@@ -33,35 +33,42 @@ def _simulate(
     """Run the force loop on raw coordinates (no normalization).
 
     The positions stay one (2, B) array pt for the whole call. The repulsion
-    is computed for _TILE columns i at a time. Per tile, one subtraction fills
-    the (2, B, T) difference plane diff[a, j, k] = pt[a, i] - pt[a, j] for
+    is computed for a stripe of _TILE nodes i in [s, e) at a time, against the
+    nodes s + j >= s only, so each unordered pair is computed once (a pair
+    within one stripe twice). Per stripe, a copy and a subtraction fill the
+    (2, B - s, w) difference plane diff[a, j, k] = pt[a, i] - pt[a, s + j] for
     i = s + k; one einsum sums its squares over the axes a into d2[j, k], the
     pair's squared distance, which is then turned in place into the pair's
     repulsion weight; a second einsum sums diff[a, j, k] * weight[j, k] over
-    the rows j into node i's push along both axes.
+    the rows j into node i's push along both axes, and a third sums it over
+    the columns k into the equal and opposite push on each node s + j >= e.
+    The stripes run from the last to the first, so that a node's push is
+    written before an earlier stripe subtracts from it. Up to _TILE nodes there is
+    one stripe and nothing to subtract: each push is the row-order sum of
+    the B x B tensor loop, bit for bit. Above it the sums run in another
+    order, fixed for a given machine and numpy.
 
     A force sum that overflows raises FloatingPointError, whatever the numpy
-    error state: einsum sets no floating-point flag, so the pushes are checked
-    for non-finite values instead.
+    error state: einsum sets no floating-point flag, and the subtractions run
+    with overflow ignored, so the pushes are checked for non-finite values instead.
     """
     pt = np.array(np.transpose(pos), dtype=float, order="C")
     n = pt.shape[1]
     width = min(n, _TILE)
-    diff = np.empty((2, n, width))
-    d2 = np.empty((n, width))
-    near = np.empty((n, width), dtype=bool)
+    planes = np.empty(3 * n * width)  # each stripe's diff and d2 are its contiguous head
+    near_buf = np.empty(n * width, dtype=bool)
     push = np.empty((2, n))
     heads, tails = edge_index.T  # an edgeless graph's are empty: ufunc.at then does nothing
-    # Every block is a full `width` columns wide: the last one starts at
-    # n - width and recomputes columns an earlier block already wrote, with
-    # the same result. A block one column wide would be reduced by numpy's
-    # pairwise summation instead of row by row, and change the bits.
-    starts = [*range(0, n - width, width), n - width]
     for t in range(iterations):
         step = STEP_START + (STEP_END - STEP_START) * t / max(iterations - 1, 1)
-        for s in starts:
-            e = s + width
-            np.subtract(pt[:, None, s:e], pt[:, :, None], out=diff)
+        for s in reversed(range(0, n, width)):
+            e = min(s + width, n)
+            w, size = e - s, (n - s) * (e - s)
+            diff = planes[:2 * size].reshape(2, n - s, w)
+            d2 = planes[2 * size:3 * size].reshape(n - s, w)
+            near = near_buf[:size].reshape(n - s, w)
+            np.copyto(diff, pt[:, None, s:e])
+            diff -= pt[:, s:, None]  # the bits of np.subtract, and cheaper
             # einsum, not np.dot/matmul or tensordot: those call BLAS, which
             # blocks and reorders the sums. einsum adds the terms in index
             # order, here dx * dx + dy * dy and the rows j one after another,
@@ -74,12 +81,15 @@ def _simulate(
             np.copyto(d2, np.inf, where=near)
             np.divide(repulsion, d2, out=d2)
             np.einsum("ajk,jk->ak", diff, d2, out=push[:, s:e])
+            with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check refuses
+                push[:, e:] -= np.einsum("ajk,jk->aj", diff[:, w:], d2[w:])
         if not np.isfinite(push).all():
-            raise FloatingPointError("overflow encountered in einsum")
+            raise FloatingPointError("overflow encountered in the force sums")
 
         pull = attraction * (pt[:, heads] - pt[:, tails])
-        np.subtract.at(push, (slice(None), heads), pull)
-        np.add.at(push, (slice(None), tails), pull)
+        for a in range(2):  # 1-D ufunc.at is far faster than on (slice(None), heads)
+            np.subtract.at(push[a], heads, pull[a])
+            np.add.at(push[a], tails, pull[a])
 
         norms = np.sqrt((push ** 2).sum(axis=0))
         pt += push * (step / np.maximum(norms, step))
