@@ -6,7 +6,6 @@ from .datagen import XDatasetSpec, auto_csv_path, gen_gaussian_cloud, gen_x_data
 from .errors import ValidationError
 from .graph import (
     ColorScale,
-    GraphEdge,
     GraphNode,
     MapperGraph,
     assign_bins,
@@ -41,7 +40,6 @@ __all__ = [
     "BallDistributionTable",
     "BallMeansTable",
     "ColorScale",
-    "GraphEdge",
     "GraphNode",
     "MapperGraph",
     "PointCloud",

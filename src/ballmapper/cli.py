@@ -23,7 +23,7 @@ from .cover import _check_cover_args, build_cover
 from .errors import ValidationError
 from .graph import DEFAULT_BIN_COUNT, _check_bin_count, assign_bins, build_graph
 from .point_cloud import PointCloud, RawTable, _checked_axes, _checked_column, _read_table
-from .point_cloud import csv_lines, format_floats, standardize, write_point_cloud_csv
+from .point_cloud import _row_texts, format_floats, standardize, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -45,21 +45,21 @@ def _write_results_csv(path, graph, positions):
         f"{'' if n.color_bin is None else n.color_bin},,,,,\n"
         for n in graph.nodes
     ]
-    lines += [f"edge,,{xy[e.source]},,,,{e.source},{e.target},{xy[e.target]},{e.shared}\n"
-              for e in graph.edges]
+    lines += [f"edge,,{xy[source]},,,,{source},{target},{xy[target]},{shared}\n"
+              for source, target, shared in zip(*graph.edges.T.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(lines)
 
 
 def _write_merged_csv(path, table, cover):
-    # table is (header, lines), each input row's text once: a plain input's own line, or
-    # a RawTable row by csv_lines after an empty cell, less its comma and LF.
+    # table is (header, lines): a plain input's own lines, or a RawTable's
+    # _row_texts. Every line, the header's too, is a ball cell, a comma and a text.
     if isinstance(table, RawTable):
-        table = table.column_names, [t[1:-1] for t in csv_lines(("",) + r for r in table.rows)]
+        table = table.column_names, _row_texts(table.rows)
     header, lines = table
     rows = iter(cover.rows.tolist())
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.writelines(csv_lines([("ball",) + header]))
+        f.write(f"ball,{_row_texts([header])[0]}\n")
         for ball, size in enumerate(cover.sizes.tolist(), start=1):
             head = f"{ball},"
             f.write(head + f"\n{head}".join(map(lines.__getitem__, islice(rows, size))) + "\n")

@@ -28,19 +28,21 @@ class GraphNode:
     color_bin: int | None = None
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    """Unordered ball pair with a non-empty member intersection."""
-
-    source: int
-    target: int
-    shared: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapperGraph:
+    """Nodes, and edges as one read-only (E, 3) int64 array of (source, target,
+    shared) rows, each endpoint a node's ball. A graph equals only itself."""
+
     nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
+    edges: np.ndarray
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 3)  # () gives (0, 3)
+        known = np.isin(edges[:, :2], [n.ball for n in self.nodes])
+        if not known.all():
+            raise ValueError(f"edge endpoint {edges[:, :2][~known][0]} is no node's ball")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_nodes(self) -> int:
@@ -49,11 +51,7 @@ class MapperGraph:
 
 @dataclass(frozen=True)
 class ColorScale:
-    """Equal-width bins over the ball-mean range, one palette color per bin.
-
-    A mean m is in bin clamp(floor((m - b0) / w) + 1, 1, bins), so on a boundary
-    it may round to either side. All means equal (no range) map to bin 1.
-    """
+    """Equal-width bins over the ball-mean range, one palette color per bin."""
 
     bin_count: int
     boundaries: tuple[float, ...]
@@ -62,15 +60,6 @@ class ColorScale:
     def __post_init__(self):
         if not len(self.boundaries) == self.bin_count + 1 == len(self.palette) + 1:
             raise ValueError("a color scale needs bin_count + 1 boundaries and bin_count colors")
-
-    def bin_for(self, mean: float) -> int:
-        lo = self.boundaries[0]
-        hi = self.boundaries[-1]
-        if hi <= lo:
-            return 1
-        width = (hi - lo) / self.bin_count
-        b = int((mean - lo) / width) + 1
-        return min(max(b, 1), self.bin_count)
 
     def color_for_bin(self, b: int) -> str:
         return self.palette[b - 1]
@@ -135,8 +124,8 @@ def _ball_means(sizes: np.ndarray, rows: np.ndarray, cols: Sequence[np.ndarray])
     return means
 
 
-def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]:
-    """Overlap edges, ascending by (source, target).
+def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Overlap edges as (source, target, shared) rows, ascending by (source, target).
 
     rows and sizes are a cover's: every ball's member row ids, ball after
     ball, and the ball sizes. Each point adds one to the shared count of
@@ -156,9 +145,7 @@ def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> tuple[GraphEdge, ...]
         i, j = np.triu_indices(m, 1)
         keys.append((table[:, i] * stride + table[:, j]).ravel())
     pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
-    ball_ids = list(range(stride))  # edges share one int object per ball id
-    return tuple(map(GraphEdge, map(ball_ids.__getitem__, (pairs // stride).tolist()),
-                     map(ball_ids.__getitem__, (pairs % stride).tolist()), shared.tolist()))
+    return np.column_stack((pairs // stride, pairs % stride, shared))
 
 
 def _check_bin_count(bin_count: int) -> None:
@@ -169,22 +156,32 @@ def _check_bin_count(bin_count: int) -> None:
 def assign_bins(
     graph: MapperGraph, bin_count: int = DEFAULT_BIN_COUNT
 ) -> tuple[ColorScale, MapperGraph]:
-    """Attach a color bin to every node; requires color means on the graph."""
+    """Attach a color bin to every node; requires color means on the graph.
+
+    Over the scale's outer boundaries b0 and bk, a mean m is in bin
+    min(trunc((m - b0) / w) + 1, bin_count) with w = (bk - b0) / bin_count, so
+    on a boundary it may round to either side. No mean is below b0, the least
+    of them. All means equal (no range) map to bin 1.
+    """
     _check_bin_count(bin_count)
     if any(n.color_mean is None for n in graph.nodes):
         raise ValueError("graph has no color means to bin")
 
-    means = [n.color_mean for n in graph.nodes]
-    lo, hi = float(np.min(means)), float(np.max(means))  # unlike min(), these keep a NaN
+    means = np.array([n.color_mean for n in graph.nodes])
+    lo, hi = float(means.min()), float(means.max())  # unlike min(), these keep a NaN
     width = (hi - lo) / bin_count
     if not math.isfinite(width) or width == 0 < hi - lo:
         raise ValidationError(
             f"color means span [{lo:.6g}, {hi:.6g}]: bin width {width:.6g} is out of float64 range"
         )
     boundaries = tuple(lo + (hi - lo) * i / bin_count for i in range(bin_count + 1))
+    b0, bk = boundaries[0], boundaries[-1]
+    bins = np.ones_like(means)
+    if bk > b0:
+        bins = np.minimum(np.trunc((means - b0) / ((bk - b0) / bin_count)) + 1, bin_count)
+    nodes = tuple(GraphNode(n.ball, n.size, n.color_mean, b)
+                  for n, b in zip(graph.nodes, bins.astype(int).tolist()))
     scale = ColorScale(bin_count, boundaries, default_palette(bin_count))
-    nodes = tuple(GraphNode(n.ball, n.size, n.color_mean, scale.bin_for(n.color_mean))
-                  for n in graph.nodes)
     return scale, MapperGraph(nodes, graph.edges)
 
 
@@ -200,8 +197,8 @@ def connected_components(graph: MapperGraph) -> list[list[int]]:
             parent[b] = b = parent[parent[b]]  # halve the path as it is walked
         return b
 
-    for e in graph.edges:
-        a, b = root(e.source), root(e.target)
+    for source, target, _shared in zip(*graph.edges.T.tolist()):
+        a, b = root(source), root(target)
         parent[max(a, b)] = min(a, b)  # a root is its component's smallest id
     components: dict[int, list[int]] = {}
     for b in sorted(parent):  # a component is first met at its smallest id, its root

@@ -123,12 +123,10 @@ def compute_layout(
     if len(balls) == 1:
         return {balls[0]: (0.0, 0.0)}
 
-    index = {b: i for i, b in enumerate(balls)}
     angles = 2.0 * np.pi * np.arange(len(balls)) / len(balls)
     pos = np.column_stack([np.cos(angles), np.sin(angles)])
-    edge_index = np.array(
-        [(index[e.source], index[e.target]) for e in graph.edges], dtype=int
-    ).reshape(-1, 2)
+    order = np.argsort(balls)  # every endpoint is a node's ball, as MapperGraph checks
+    edge_index = order[np.searchsorted(balls, graph.edges[:, :2], sorter=order)]
 
     try:  # a force that overflows would freeze its node, or make it nan
         with np.errstate(over="raise"):
@@ -139,4 +137,4 @@ def compute_layout(
     lo = pos.min(axis=0)
     span = pos.max(axis=0) - lo
     out = np.divide(pos - lo, span, out=np.full_like(pos, 0.5), where=span > _MIN_DIST)
-    return {b: (float(out[i, 0]), float(out[i, 1])) for b, i in index.items()}
+    return dict(zip(balls, map(tuple, out.tolist())))

@@ -329,14 +329,14 @@ def _ball_ids(cells: Sequence[str], first_row: int = 0) -> np.ndarray:
 def _read_streamed(path, names: Sequence[str], merged: bool = False):
     """(header, rows, columns, bad) of any CSV file, read _CHUNK_ROWS rows at a time.
 
-    rows holds each row's text (csv_lines' line of an empty cell and the row,
-    less its first comma and LF) or a merged file's int64 ball ids; columns
-    each of names that the header has as float64, NaN where _parse_cell
-    refuses a cell; bad each such column's first refused (cell, row) or None.
-    Only these outlive a chunk's text. The rows are checked as load_csv checks
-    them. A merged file is refused for no 'ball' column or a name that is no
-    column before any row is read, and for no rows or a bad ball id after;
-    any other file for a 'ball' column after its last row.
+    rows holds each row's text (as _row_texts gives it) or a merged file's
+    int64 ball ids; columns each of names that the header has as float64, NaN
+    where _parse_cell refuses a cell; bad each such column's first refused
+    (cell, row) or None. Only these outlive a chunk's text. The rows are
+    checked as load_csv checks them. A merged file is refused for no 'ball'
+    column or a name that is no column before any row is read, and for no
+    rows or a bad ball id after; any other file for a 'ball' column after its
+    last row.
     """
     with closing(_checked_rows(path)) as reader:  # closes the file on an early refusal
         header = next(reader)
@@ -353,7 +353,7 @@ def _read_streamed(path, names: Sequence[str], merged: bool = False):
         n = 0
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             if not merged:
-                rows += [line[1:-1] for line in csv_lines([""] + row for row in chunk)]
+                rows += _row_texts(chunk)
             else:
                 try:
                     rows.append(_ball_ids(list(map(itemgetter(header.index("ball")), chunk)), n))
@@ -510,6 +510,12 @@ def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:
             csv.writer(SimpleNamespace(write=lines.append),
                        lineterminator="\r\n").writerows(batch)
             yield from [line[:-2] + "\n" for line in lines]
+
+
+def _row_texts(rows: Iterable[Sequence[str]]) -> list[str]:
+    """Each row's text in a merged CSV line, after its ball cell: csv_lines'
+    line of an empty cell and the row, less its first comma and LF."""
+    return [line[1:-1] for line in csv_lines(("", *row) for row in rows)]
 
 
 def write_cells(path, column_names: Iterable[str], rows: Iterable[Iterable]) -> None:

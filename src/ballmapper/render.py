@@ -85,9 +85,9 @@ def render_graph_svg(
     max_size = max(n.size for n in graph.nodes)
     parts = []
     line_tail = f' stroke="{EDGE_COLOR}" stroke-width="{_num(EDGE_WIDTH)}"/>'
-    for e in graph.edges:
-        x1, y1 = px[e.source]
-        x2, y2 = px[e.target]
+    for source, target, _shared in zip(*graph.edges.T.tolist()):
+        x1, y1 = px[source]
+        x2, y2 = px[target]
         parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"{line_tail}')
 
     labels = []

@@ -148,7 +148,7 @@ def laid_out_graphs(draw):
     sizes = draw(st.lists(st.integers(1, 300), min_size=n, max_size=n))
     pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    edges = tuple(bm.GraphEdge(s, t, draw(st.integers(1, 300))) for s, t in sorted(chosen))
+    edges = [(s, t, draw(st.integers(1, 300))) for s, t in sorted(chosen)]
     color = draw(st.sampled_from(["none", "means", "bins"]))
     means = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
     nodes = tuple(bm.GraphNode(b, size, means[b - 1] if color != "none" else None)
@@ -161,3 +161,21 @@ def laid_out_graphs(draw):
             reject()
     positions = {b: (draw(COORDINATE), draw(COORDINATE)) for b in range(1, n + 1)}
     return graph, positions, scale
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs over unsorted, non-contiguous ball ids with isolated nodes, random
+    edges either way round, and chains walked from their largest id, so that
+    their smallest id sits at the far end."""
+    ids = draw(st.lists(st.integers(1, 10_000), unique=True, min_size=1, max_size=120))
+    ball = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(ball, ball), max_size=len(ids)))
+    chain = st.lists(ball, unique=True, min_size=2)
+    chains = draw(st.lists(chain, max_size=3)) if len(ids) > 1 else []
+    for chain in chains:
+        chain.sort(reverse=True)
+        flips = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
+        pairs += [(b, a) if flip else (a, b) for a, b, flip in zip(chain, chain[1:], flips)]
+    nodes = tuple(bm.GraphNode(ball=b, size=1) for b in ids)
+    return bm.MapperGraph(nodes, [(a, b, 1) for a, b in pairs])

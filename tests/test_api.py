@@ -5,8 +5,8 @@ import ballmapper as bm
 from ballmapper import errors
 
 PUBLIC_NAMES = {
-    "BallCover", "BallDistributionTable", "BallMeansTable", "ColorScale", "GraphEdge",
-    "GraphNode", "MapperGraph", "PointCloud", "RawTable", "RenderOptions",
+    "BallCover", "BallDistributionTable", "BallMeansTable", "ColorScale", "GraphNode",
+    "MapperGraph", "PointCloud", "RawTable", "RenderOptions",
     "StandardizationSpec", "ValidationError", "XDatasetSpec", "assign_bins",
     "auto_csv_path", "ball_sizes", "ball_summary", "build_cover", "build_graph",
     "compute_layout", "connected_components", "correlation_matrix", "euclidean_distance",

@@ -211,12 +211,12 @@ def _write_results_reference(path, graph, positions):
             "" if n.color_bin is None else n.color_bin,
             "", "", "", "", "",
         ))
-    for e in graph.edges:
-        x1, y1 = xy[e.source]
-        x2, y2 = xy[e.target]
+    for source, target, shared in graph.edges.tolist():
+        x1, y1 = xy[source]
+        x2, y2 = xy[target]
         rows.append((
             "edge", "", x1, y1, "", "", "",
-            e.source, e.target, x2, y2, e.shared,
+            source, target, x2, y2, shared,
         ))
     write_cells(path, RESULTS_HEADER, rows)
 

@@ -11,7 +11,8 @@ import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper.graph import MAX_BIN_COUNT, default_palette
 
-from conftest import cover_from_members, cover_inputs, membership_matrix, random_cloud
+from conftest import (component_graphs, cover_from_members, cover_inputs, membership_matrix,
+                      random_cloud)
 
 
 def _edges_reference(cover):
@@ -22,8 +23,8 @@ def _edges_reference(cover):
         for s in range(q + 1, cover.n_balls):
             shared = len(member_sets[q] & member_sets[s])
             if shared:
-                edges.append(bm.GraphEdge(q + 1, s + 1, shared))
-    return tuple(edges)
+                edges.append([q + 1, s + 1, shared])
+    return edges
 
 
 def _edges_by_multiplicity(cover):
@@ -31,7 +32,7 @@ def _edges_by_multiplicity(cover):
     shared = Counter()
     for balls in membership_matrix(cover).values():
         shared.update(combinations(balls, 2))
-    return tuple(bm.GraphEdge(q, s, n) for (q, s), n in sorted(shared.items()))
+    return [[q, s, n] for (q, s), n in sorted(shared.items())]
 
 
 def _means_reference(cover, color_values):
@@ -42,7 +43,7 @@ def _means_reference(cover, color_values):
 
 def assert_matches_oracles(cover, color_values):
     g = bm.build_graph(cover, color_values)
-    assert g.edges == _edges_reference(cover) == _edges_by_multiplicity(cover)
+    assert g.edges.tolist() == _edges_reference(cover) == _edges_by_multiplicity(cover)
     got = np.array([n.color_mean for n in g.nodes])
     want = np.array(_means_reference(cover, color_values))
     assert got.tobytes() == want.tobytes()  # bit for bit
@@ -83,12 +84,12 @@ class TestBuildGraph:
         g = bm.build_graph(line_cover, [2.0, 4.0, 6.0])
         assert [n.color_mean for n in g.nodes] == [3.0, 5.0]
         assert [n.size for n in g.nodes] == [2, 2]
-        assert g.edges == (bm.GraphEdge(1, 2, 1),)
+        assert g.edges.tolist() == [[1, 2, 1]]
 
     def test_single_ball_no_edges(self):
         cloud = bm.PointCloud(("x",), np.array([[0.0], [0.5]]), (0, 1))
         g = bm.build_graph(bm.build_cover(cloud, 1.0))
-        assert g.edges == ()
+        assert g.edges.shape == (0, 3)
         assert g.nodes[0].color_mean is None
 
     def test_repeated_row_ids_never_reach_build_graph(self):
@@ -125,8 +126,9 @@ class TestBuildGraph:
     def test_edges_match_brute_force_intersections(self, inputs):
         cover = bm.build_cover(*inputs)
         edges = bm.build_graph(cover).edges
-        assert edges == _edges_reference(cover)
-        assert all(e.shared >= 1 and e.source < e.target for e in edges)
+        assert edges.tolist() == _edges_reference(cover)
+        source, target, shared = edges.T
+        assert (shared >= 1).all() and (source < target).all()
         color = np.random.default_rng(inputs[3]).normal(size=cover.n_points) * 1e3
         assert_matches_oracles(cover, color)
 
@@ -157,6 +159,45 @@ class TestBuildGraph:
         means = [n.color_mean for n in g.nodes]
         assert min(means) >= color.min()
         assert max(means) <= color.max()
+
+
+class TestMapperGraph:
+    def test_edges_are_one_read_only_int64_array(self, line_cover):
+        edges = bm.build_graph(line_cover).edges
+        assert (edges.dtype, edges.shape, edges.flags.writeable) == (np.int64, (1, 3), False)
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0, 2] = 2
+
+    def test_no_edges_is_a_read_only_zero_by_three_array(self):
+        edges = bm.MapperGraph((bm.GraphNode(7, 1),), ()).edges
+        assert (edges.dtype, edges.shape, edges.flags.writeable) == (np.int64, (0, 3), False)
+
+    def test_rows_are_copied_so_the_callers_array_stays_writeable(self):
+        rows = np.array([[4, 9, 3]])
+        graph = bm.MapperGraph((bm.GraphNode(9, 3), bm.GraphNode(4, 5)), rows)
+        rows[0, 2] = 1
+        assert rows.flags.writeable
+        assert graph.edges.tolist() == [[4, 9, 3]]
+
+    @pytest.mark.parametrize("edge, endpoint", [
+        ((1, 3, 1), 3), ((0, 2, 1), 0), ((5, 5, 1), 5), ((2, -1, 1), -1),
+    ])
+    def test_endpoint_that_is_no_nodes_ball_refused(self, edge, endpoint):
+        nodes = (bm.GraphNode(2, 1), bm.GraphNode(1, 1))
+        refusal = f"^edge endpoint {endpoint} is no node's ball$"
+        with pytest.raises(ValueError, match=refusal) as exc:
+            bm.MapperGraph(nodes, [(1, 2, 1), edge])
+        assert type(exc.value) is ValueError  # misuse of a library type, not bad input
+
+    def test_edge_without_nodes_refused(self):
+        with pytest.raises(ValueError, match="edge endpoint 1 is no node's ball"):
+            bm.MapperGraph((), [(1, 2, 1)])
+
+    def test_a_graph_equals_only_itself(self, line_cover):
+        graph = bm.build_graph(line_cover)
+        assert graph == graph
+        assert graph != bm.build_graph(line_cover)
+        assert len({graph, graph}) == 1
 
 
 class TestAssignBins:
@@ -275,9 +316,9 @@ def test_inconsistent_color_scale_refused(boundaries, palette, line_cover):
 def _components_reference(graph):
     """The breadth-first walk that connected_components once was, kept as its oracle."""
     adjacency = {n.ball: [] for n in graph.nodes}
-    for e in graph.edges:
-        adjacency[e.source].append(e.target)
-        adjacency[e.target].append(e.source)
+    for source, target, _shared in graph.edges.tolist():
+        adjacency[source].append(target)
+        adjacency[target].append(source)
 
     seen = set()
     components = []
@@ -298,24 +339,6 @@ def _components_reference(graph):
     return components
 
 
-@st.composite
-def component_graphs(draw):
-    """Graphs over unsorted, non-contiguous ball ids with isolated nodes, random
-    edges either way round, and chains walked from their largest id, so that
-    their smallest id sits at the far end."""
-    ids = draw(st.lists(st.integers(1, 10_000), unique=True, min_size=1, max_size=120))
-    ball = st.sampled_from(ids)
-    pairs = draw(st.lists(st.tuples(ball, ball), max_size=len(ids)))
-    chain = st.lists(ball, unique=True, min_size=2)
-    chains = draw(st.lists(chain, max_size=3)) if len(ids) > 1 else []
-    for chain in chains:
-        chain.sort(reverse=True)
-        flips = draw(st.lists(st.booleans(), min_size=len(chain), max_size=len(chain)))
-        pairs += [(b, a) if flip else (a, b) for a, b, flip in zip(chain, chain[1:], flips)]
-    nodes = tuple(bm.GraphNode(ball=b, size=1) for b in ids)
-    return bm.MapperGraph(nodes, tuple(bm.GraphEdge(a, b, 1) for a, b in pairs))
-
-
 @given(component_graphs())
 @settings(max_examples=300, deadline=None)
 def test_components_match_breadth_first_reference(graph):
@@ -325,14 +348,14 @@ def test_components_match_breadth_first_reference(graph):
 def test_long_chain_from_its_largest_id_is_one_component():
     ids = list(range(5000, 0, -1))
     graph = bm.MapperGraph(tuple(bm.GraphNode(ball=b, size=1) for b in ids),
-                           tuple(bm.GraphEdge(a, b, 1) for a, b in zip(ids, ids[1:])))
+                           [(a, b, 1) for a, b in zip(ids, ids[1:])])
     assert bm.connected_components(graph) == _components_reference(graph) == [ids[::-1]]
 
 
 class TestConnectedComponents:
     def make_graph(self, n_nodes, edges):
         nodes = tuple(bm.GraphNode(ball=b, size=1) for b in range(1, n_nodes + 1))
-        return bm.MapperGraph(nodes, tuple(bm.GraphEdge(q, s, 1) for q, s in edges))
+        return bm.MapperGraph(nodes, [(q, s, 1) for q, s in edges])
 
     def test_edgeless(self):
         assert bm.connected_components(self.make_graph(3, [])) == [[1], [2], [3]]

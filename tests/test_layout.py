@@ -10,12 +10,14 @@ import ballmapper as bm
 from ballmapper.errors import ValidationError
 from ballmapper.layout import _MIN_DIST, _TILE, STEP_END, STEP_START, _simulate
 
+from conftest import component_graphs
+
 RING_200 = [(b, b % 200 + 1) for b in range(1, 201)]  # wider than one layout stripe
 
 
 def make_graph(n_nodes, edges=()):
     nodes = tuple(bm.GraphNode(ball=b, size=1) for b in range(1, n_nodes + 1))
-    return bm.MapperGraph(nodes, tuple(bm.GraphEdge(q, s, 1) for q, s in edges))
+    return bm.MapperGraph(nodes, [(q, s, 1) for q, s in edges])
 
 
 class TestComputeLayout:
@@ -51,9 +53,10 @@ class TestComputeLayout:
 
     def test_topology_untouched(self, auto_cover):
         g = bm.build_graph(auto_cover)
-        before = (tuple(g.nodes), tuple(g.edges))
+        nodes, edges = tuple(g.nodes), g.edges.copy()
         bm.compute_layout(g, iterations=50)
-        assert (tuple(g.nodes), tuple(g.edges)) == before
+        assert tuple(g.nodes) == nodes
+        assert np.array_equal(g.edges, edges)
 
     def test_two_node_symmetry(self):
         layout = bm.compute_layout(make_graph(2), iterations=40)
@@ -107,6 +110,24 @@ class TestComputeLayout:
                     bm.compute_layout(g, repulsion=repulsion)
             else:
                 assert len(bm.compute_layout(g, repulsion=repulsion)) == g.n_nodes
+
+
+@given(component_graphs(), st.integers(1, 20))
+@settings(max_examples=100, deadline=None)
+def test_positions_do_not_depend_on_the_ball_ids(graph, iterations):
+    # each ball id replaced by its node index + 1: the same edges between the
+    # same node indices, so every position must keep its bits
+    index = {n.ball: i for i, n in enumerate(graph.nodes, start=1)}
+    relabelled = bm.MapperGraph(
+        tuple(bm.GraphNode(index[n.ball], n.size) for n in graph.nodes),
+        [(index[source], index[target], shared)
+         for source, target, shared in graph.edges.tolist()],
+    )
+    got = bm.compute_layout(graph, iterations=iterations)
+    want = bm.compute_layout(relabelled, iterations=iterations)
+    assert list(got) == list(index)
+    assert (np.array([got[b] for b in index]).tobytes()
+            == np.array([want[i] for i in index.values()]).tobytes())
 
 
 class TestForceDynamics:
@@ -178,9 +199,8 @@ def circle_start(graph):
     index = {n.ball: i for i, n in enumerate(graph.nodes)}
     angles = 2.0 * np.pi * np.arange(graph.n_nodes) / graph.n_nodes
     pos = np.column_stack([np.cos(angles), np.sin(angles)])
-    edge_index = np.array(
-        [(index[e.source], index[e.target]) for e in graph.edges], dtype=int
-    ).reshape(-1, 2)
+    pairs = [(index[source], index[target]) for source, target, _ in graph.edges.tolist()]
+    edge_index = np.array(pairs, dtype=int).reshape(-1, 2)
     return pos, edge_index
 
 

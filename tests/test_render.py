@@ -155,9 +155,9 @@ def _render_graph_svg_reference(graph, positions, scale=None, options=bm.RenderO
 
     max_size = max(n.size for n in graph.nodes)
     parts = [render.SVG_OPEN, render.BACKGROUND_RECT]
-    for e in graph.edges:
-        x1, y1 = to_px(positions[e.source])
-        x2, y2 = to_px(positions[e.target])
+    for source, target, _shared in graph.edges.tolist():
+        x1, y1 = to_px(positions[source])
+        x2, y2 = to_px(positions[target])
         parts.append(
             f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
             f'stroke="{render.EDGE_COLOR}" stroke-width="{_num(render.EDGE_WIDTH)}"/>'
