@@ -73,6 +73,14 @@ def build_cover(
     deterministic default); order="shuffle" walks a seeded random permutation
     of the rows instead, for landmark-order robustness experiments. Distance
     comparisons are inclusive (<= epsilon).
+
+    The points are sorted once along every axis, and each ball scans only the
+    narrowest of its K slabs: the points whose coordinate on one axis lies
+    within the radius of the landmark's. A column-wise prefilter of that slab
+    against epsilon squared keeps every member. When all its survivors lie
+    inside a proven rounding shell below epsilon squared, they are the
+    members; otherwise the exact row-wise sqrt test decides each survivor.
+    The sorted copies take 8 * K**2 * N bytes of scratch, whatever B is.
     """
     _check_cover_args(epsilon, order, seed)
     n = cloud.n
@@ -87,37 +95,67 @@ def build_cover(
     # square is inf), inf <= inf keeps it a prefilter survivor, and c_a -+ an
     # inf half-width still gives ordered slab bounds.
     with np.errstate(over="ignore"):
-        # Sort the points once along their widest axis; each ball then looks
-        # only at the contiguous slab of points whose coordinate on that axis
-        # lies within the radius of the landmark's.
-        axis = int(np.argmax(np.ptp(pts, axis=0)))
-        perm = np.argsort(pts[:, axis], kind="stable")
-        cols = np.ascontiguousarray(pts[perm].T)  # K x N, sorted along axis
-        keys = cols[axis]
-        # Membership is decided only by the row-wise test sqrt(s) <= epsilon,
-        # where s = einsum("ij,ij->i") sums the squares of d_a = fl(p_a - c_a).
-        # The slab and the column-wise prefilter s' <= bound each keep every
-        # point that test passes. With S the exact sum of the d_a**2 and
-        # u = 2**-53, the proof uses two facts only, for any summation order,
-        # with or without FMA:
+        # Membership is decided by the row-wise test sqrt(s) <= epsilon, where
+        # s = einsum("ij,ij->i") sums the squares of d_a = fl(p_a - c_a). The
+        # slab and the column-wise prefilter s' <= bound each keep every point
+        # that test passes, and s' <= sure passes only points that it passes.
+        # With S the exact sum of the d_a**2 and u = 2**-53, the proof uses two
+        # facts only, for any summation order, with or without FMA:
         # (1) s and s' both lie within K*u*S of S;
         # (2) underflow costs each of the K products or fused steps at most
-        #     2**-1075 more (a sum of subnormals is exact).
-        # sqrt is correctly rounded, so a passing point has
+        #     f = 2**-1075 more (a sum of subnormals is exact).
+        # bound: sqrt is correctly rounded, so a passing point has
         # s <= (epsilon*(1 + u))**2 up to that floor, and then
         # s' <= epsilon**2 * (1 + (2K + 3)u + O(u**2)) + 2K * 2**-1074. The
         # relative margin below puts (1 + 8(K + 2)u)**2 into bound, more than
         # that plus the four roundings that compute bound, and the absolute
-        # term k * 2**-1070 is more than the floor. The slab needs less: s >=
-        # fl(d_a**2), as rounding is monotone, so |p_a - c_a| <=
-        # epsilon*(1 + 3u); a gap below _UNDERFLOW_GAP squares to 0 and passes
-        # any radius, so it stays in the slab; and the stored p_a is a float,
-        # so p_a <= c_a + half_width implies p_a <= fl(c_a + half_width).
+        # term k * 2**-1070 is more than the floor.
+        # sure: r = 1 - 8(K + 2)u is exact, and each of the three roundings
+        # that compute sure adds at most a factor 1 + u and, for the two
+        # products, f. So a positive sure <= epsilon**2 * r * (1 + u)**3 -
+        # (32K - 3)f. By (1) and (2), s' <= sure gives S(1 - Ku) <= sure + Kf,
+        # and s <= S(1 + Ku) + Kf <= epsilon**2 * r * (1 + u)**3 * (1 + Ku) /
+        # (1 - Ku) - (30K - 3)f < epsilon**2, as r takes off (8K + 16)u and the
+        # other factors add only (2K + 3)u + O(u**2). Then sqrt(s) <= epsilon
+        # holds. A sure that is not positive and finite (epsilon**2 overflows,
+        # or is too small to hold the margin) decides nothing, and an s' above
+        # sure (inf included) sends all of its ball's survivors to the exact
+        # test.
+        # The slab: s >= fl(d_a**2) on every axis a, as rounding is monotone,
+        # so |p_a - c_a| <= epsilon*(1 + 3u); a gap below _UNDERFLOW_GAP
+        # squares to 0 and passes any radius, so it stays in the slab; and the
+        # stored p_a is a float, so p_a <= c_a + half_width implies
+        # p_a <= fl(c_a + half_width). So the slab of every axis holds every
+        # member, and each ball scans the one with the fewest points.
         half_width = epsilon * (1 + (k + 2) * 2.0**-50) + _UNDERFLOW_GAP
         bound = half_width * half_width + k * 2.0**-1070
-        los = np.searchsorted(keys, pts[:, axis] - half_width, side="left")
-        his = np.searchsorted(keys, pts[:, axis] + half_width, side="right")
-        scratch = np.empty((k, int((his - los).max())))
+        sure = epsilon * epsilon * (1 - (k + 2) * 2.0**-50) - k * 2.0**-1070
+        if not 0 < sure < np.inf:
+            sure = -1.0
+        # cols[a] holds the K coordinate rows sorted along axis a, and
+        # perms[a] their row positions. A point's slab on axis a is
+        # cols[a][:, lo:lo + count]; slab_axis, slab_lo and slab_count keep
+        # its narrowest, the first axis on a tie.
+        cols = np.empty((k, k, n))
+        perms = np.empty((k, n), dtype=np.intp)
+        by_axis = np.ascontiguousarray(pts.T)
+        slab_axis = np.empty(n, dtype=np.intp)
+        slab_lo = np.empty(n, dtype=np.intp)
+        slab_count = np.full(n, n + 1, dtype=np.intp)
+        for a in range(k):
+            perm = perms[a]
+            perm[:] = np.argsort(by_axis[a])
+            np.take(by_axis, perm, axis=1, out=cols[a])
+            keys = cols[a, a]
+            lo = np.searchsorted(keys, keys - half_width, side="left")
+            count = np.searchsorted(keys, keys + half_width, side="right") - lo
+            narrower = count < slab_count[perm]
+            at = perm[narrower]
+            slab_axis[at] = a
+            slab_lo[at] = lo[narrower]
+            slab_count[at] = count[narrower]
+        del by_axis, lo, count
+        scratch = np.empty((k, int(slab_count.max())))
         covered = np.zeros(n, dtype=bool)
         landmarks: list[int] = []
         balls: list[np.ndarray] = []  # each ball's member row ids
@@ -127,12 +165,15 @@ def build_cover(
             if covered[lm]:
                 continue
             c = pts[lm]
-            lo, hi = int(los[lm]), int(his[lm])
-            d = np.subtract(cols[:, lo:hi], c[:, None], out=scratch[:, : hi - lo])
-            near = perm[lo:hi][np.einsum("ij,ij->j", d, d) <= bound]
-            diff = pts[near] - c
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            in_ball = near[dist <= epsilon]
+            a, lo, m = int(slab_axis[lm]), int(slab_lo[lm]), int(slab_count[lm])
+            d = np.subtract(cols[a, :, lo : lo + m], c[:, None], out=scratch[:, :m])
+            s = np.einsum("ij,ij->j", d, d)
+            survives = s <= bound
+            in_ball = perms[a, lo : lo + m][survives]
+            if not s[survives].max() <= sure:
+                diff = pts[in_ball] - c
+                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                in_ball = in_ball[dist <= epsilon]
             in_ball.sort()
             covered[in_ball] = True
             landmarks.append(int(row_ids[lm]))

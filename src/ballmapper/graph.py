@@ -38,7 +38,11 @@ class MapperGraph:
 
     def __post_init__(self):
         edges = np.array(self.edges, dtype=np.int64).reshape(-1, 3)  # () gives (0, 3)
-        known = np.isin(edges[:, :2], [n.ball for n in self.nodes])
+        balls = [n.ball for n in self.nodes]
+        if len(set(balls)) < len(balls):
+            twice = next(b for b in balls if balls.count(b) > 1)
+            raise ValueError(f"more than one node has ball {twice}")
+        known = np.isin(edges[:, :2], balls)
         if not known.all():
             raise ValueError(f"edge endpoint {edges[:, :2][~known][0]} is no node's ball")
         edges.flags.writeable = False

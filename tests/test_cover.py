@@ -82,6 +82,72 @@ def _cover_slab_reference(cloud, epsilon, order="data", seed=0):
                               tuple(cloud.row_ids))
 
 
+def _cover_prefilter_reference(cloud, epsilon, order="data", seed=0):
+    """The widest-axis slab loop with the column-wise prefilter, followed by the
+    exact test on every survivor, that build_cover ran before it scanned each
+    ball's narrowest slab: kept verbatim as a third oracle."""
+    n = cloud.n
+    if order == "shuffle":
+        scan_order = np.random.default_rng(seed).permutation(n)
+    else:
+        scan_order = np.arange(n)
+
+    pts = cloud.values
+    k = cloud.k
+    with np.errstate(over="ignore"):
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        perm = np.argsort(pts[:, axis], kind="stable")
+        cols = np.ascontiguousarray(pts[perm].T)  # K x N, sorted along axis
+        keys = cols[axis]
+        half_width = epsilon * (1 + (k + 2) * 2.0**-50) + 1e-160
+        bound = half_width * half_width + k * 2.0**-1070
+        los = np.searchsorted(keys, pts[:, axis] - half_width, side="left")
+        his = np.searchsorted(keys, pts[:, axis] + half_width, side="right")
+        scratch = np.empty((k, int((his - los).max())))
+        covered = np.zeros(n, dtype=bool)
+        landmarks: list[int] = []
+        balls: list[np.ndarray] = []  # each ball's member row ids
+        row_ids = np.asarray(cloud.row_ids, dtype=np.intp)
+
+        for lm in scan_order.tolist():
+            if covered[lm]:
+                continue
+            c = pts[lm]
+            lo, hi = int(los[lm]), int(his[lm])
+            d = np.subtract(cols[:, lo:hi], c[:, None], out=scratch[:, : hi - lo])
+            near = perm[lo:hi][np.einsum("ij,ij->j", d, d) <= bound]
+            diff = pts[near] - c
+            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            in_ball = near[dist <= epsilon]
+            in_ball.sort()
+            covered[in_ball] = True
+            landmarks.append(int(row_ids[lm]))
+            balls.append(row_ids[in_ball])
+
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    rows = np.concatenate(balls)
+    sizes.flags.writeable = rows.flags.writeable = False
+    return bm.BallCover(float(epsilon), tuple(landmarks), sizes, rows, tuple(cloud.row_ids))
+
+
+ORACLES = (_cover_reference, _cover_slab_reference, _cover_prefilter_reference)
+
+
+def assert_matches_oracles(cover, cloud, epsilon, order="data", seed=0):
+    with np.errstate(over="ignore"):  # the oracles warn on gaps that overflow
+        for oracle in ORACLES:
+            assert cover_key(cover) == cover_key(oracle(cloud, epsilon, order, seed))
+
+
+def _slab_counts(cloud, epsilon, position):
+    """Points in each axis's slab around the point at position: those whose
+    coordinate lies within build_cover's half-width of the centre's."""
+    half_width = epsilon * (1 + (cloud.k + 2) * 2.0**-50) + 1e-160
+    c = cloud.values[position]
+    inside = (cloud.values >= c - half_width) & (cloud.values <= c + half_width)
+    return inside.sum(axis=0)
+
+
 def brute_force_members(cloud, epsilon, landmark_row):
     """Oracle: every row within epsilon of the landmark, via per-pair distances."""
     pos = {r: i for i, r in enumerate(cloud.row_ids)}
@@ -142,22 +208,57 @@ class TestBuildCover:
             assert cover.members == ((0, 2), (1,))
 
     def test_exact_test_runs_on_prefilter_survivors_only(self, monkeypatch):
-        # The column-wise prefilter is what makes the cover fast: the exact
-        # sqrt test must see about the members, not the whole slab (about 46%
-        # of N per landmark on this cloud).
+        # Each ball scans the narrowest of its K axis slabs: on this cloud they
+        # hold 40% of the points of the balls' slabs on the widest axis. The
+        # exact sqrt test sees at most the prefilter's survivors, and none at
+        # all for a ball whose survivors all lie inside the proven shell.
         cloud, _ = bm.standardize(bm.gen_gaussian_cloud(3000, 5, seed=2))
-        sqrt, evaluated = np.sqrt, []
+        einsum, scanned, evaluated = np.einsum, [], []
 
-        def counting_sqrt(x):
-            evaluated.append(x.size)
-            return sqrt(x)
+        def counting_einsum(subscripts, a, b):
+            (scanned if subscripts == "ij,ij->j" else evaluated).append(a.shape)
+            return einsum(subscripts, a, b)
 
-        monkeypatch.setattr(np, "sqrt", counting_sqrt)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
         cover = bm.build_cover(cloud, 1.0)
         monkeypatch.undo()
-        assert cover_key(cover) == cover_key(_cover_reference(cloud, 1.0))
-        assert len(evaluated) == cover.n_balls
-        assert sum(evaluated) <= 1.01 * sum(bm.ball_sizes(cover))
+        assert_matches_oracles(cover, cloud, 1.0)
+        pos = {r: i for i, r in enumerate(cloud.row_ids)}
+        counts = np.array([_slab_counts(cloud, 1.0, pos[lm]) for lm in cover.landmarks])
+        widest = int(np.argmax(np.ptp(cloud.values, axis=0)))
+        assert [shape[0] for shape in scanned] == [5] * cover.n_balls
+        assert sum(shape[1] for shape in scanned) == counts.min(axis=1).sum()
+        assert counts.min(axis=1).sum() < 0.5 * counts[:, widest].sum()
+        assert sum(shape[0] for shape in evaluated) <= 1.01 * sum(bm.ball_sizes(cover))
+
+    @pytest.mark.parametrize("epsilon", [1.0, 1e200, 1e-170])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_shell_around_epsilon_goes_to_exact_test(self, monkeypatch, k, epsilon):
+        # Points at distance epsilon * (1 + j * 2**-52), j = -4..4, along an
+        # axis and along the diagonal: their s' lies between sure and bound,
+        # so the exact test decides them. At 1e200 epsilon**2 overflows and
+        # at 1e-170 it underflows, so sure decides nothing there.
+        radii = epsilon * (1 + np.arange(-4, 5) * 2.0**-52)
+        axis = np.zeros((len(radii), k))
+        axis[:, 0] = radii
+        diagonal = np.repeat(radii[:, None] / math.sqrt(k), k, axis=1)
+        for shell in (axis, diagonal):
+            values = np.vstack([np.zeros(k), shell])
+            cloud = bm.PointCloud(tuple(f"x{j}" for j in range(k)), values,
+                                  tuple(range(len(values))))
+            sqrt, evaluated = np.sqrt, []
+
+            def counting_sqrt(x):
+                evaluated.append(x.size)
+                return sqrt(x)
+
+            monkeypatch.setattr(np, "sqrt", counting_sqrt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cover = bm.build_cover(cloud, epsilon)
+            monkeypatch.undo()
+            assert evaluated
+            assert_matches_oracles(cover, cloud, epsilon)
 
     def test_landmark_in_own_ball(self):
         rng = np.random.default_rng(3)
@@ -184,9 +285,7 @@ class TestBuildCover:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cover = bm.build_cover(*inputs)
-        with np.errstate(over="ignore"):  # the oracles warn on gaps that overflow
-            assert cover_key(cover) == cover_key(_cover_reference(*inputs))
-            assert cover_key(cover) == cover_key(_cover_slab_reference(*inputs))
+        assert_matches_oracles(cover, *inputs)
         assert all(type(r) is int for r in cover.landmarks)
         assert all(type(r) is int for m in cover.members for r in m)
 
@@ -195,7 +294,7 @@ class TestBuildCover:
         cloud = bm.gen_gaussian_cloud(2000, 3, seed=4)
         cover = bm.build_cover(cloud, 0.5, order=order, seed=8)
         assert cover.n_balls > 100
-        assert cover_key(cover) == cover_key(_cover_reference(cloud, 0.5, order, 8))
+        assert_matches_oracles(cover, cloud, 0.5, order, 8)
 
     def test_repeat_runs_identical(self, auto_cover, auto_raw):
         cloud, _ = bm.validate_axes(
@@ -240,6 +339,20 @@ class TestCoverStorage:
             tracemalloc.stop()
         assert sum(bm.ball_sizes(cover)) == 58349
         assert retained < 16 * 58349
+
+    def test_scratch_memory_bounded(self):
+        # The K sorted (K, N) copies take 8 * K**2 * N bytes; their
+        # permutations, one transposed copy and a few per-point arrays add
+        # less than half as much again at K = 5. The peak does not grow with B.
+        n, k = 20000, 5
+        cloud, _ = bm.standardize(bm.gen_gaussian_cloud(n, k, 1))
+        tracemalloc.start()
+        try:
+            bm.build_cover(cloud, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * k * k * n
 
 
 def cover_as_tuples(cover):

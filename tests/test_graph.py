@@ -189,6 +189,12 @@ class TestMapperGraph:
             bm.MapperGraph(nodes, [(1, 2, 1), edge])
         assert type(exc.value) is ValueError  # misuse of a library type, not bad input
 
+    def test_two_nodes_with_one_ball_refused(self):
+        nodes = (bm.GraphNode(1, 3), bm.GraphNode(1, 5), bm.GraphNode(2, 1))
+        with pytest.raises(ValueError, match="^more than one node has ball 1$") as exc:
+            bm.MapperGraph(nodes, [(1, 2, 1)])
+        assert type(exc.value) is ValueError  # misuse of a library type, not bad input
+
     def test_edge_without_nodes_refused(self):
         with pytest.raises(ValueError, match="edge endpoint 1 is no node's ball"):
             bm.MapperGraph((), [(1, 2, 1)])
