@@ -6,8 +6,8 @@ CSV output from this package version.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib.resources import files
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class XDatasetSpec:
 
 def auto_csv_path() -> str:
     """Path of the bundled 74-row 1978 automobile dataset."""
-    return str(files("ballmapper").joinpath("data/auto.csv"))
+    return os.path.join(os.path.dirname(__file__), "data", "auto.csv")
 
 
 def _rng(seed: int) -> np.random.Generator:

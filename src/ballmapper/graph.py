@@ -14,10 +14,6 @@ DEFAULT_BIN_COUNT = 8
 # The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
 # _LEGEND_PITCH and _SWATCH: a 31st row's swatch would end at y 644, past 640.
 MAX_BIN_COUNT = 30
-# Documented palette endpoints: low bins blue, high bins red.
-PALETTE_LOW = (0x2C, 0x4F, 0xD8)
-PALETTE_HIGH = (0xD8, 0x2C, 0x2C)
-FALLBACK_FILL = "#b0b0b0"
 
 
 @dataclass(frozen=True)
@@ -55,28 +51,18 @@ class MapperGraph:
 
 @dataclass(frozen=True)
 class ColorScale:
-    """Equal-width bins over the ball-mean range, one palette color per bin."""
+    """Equal-width bins over the ball-mean range: bin b spans boundaries[b - 1]
+    to boundaries[b]. The renderer picks each bin's color."""
 
-    bin_count: int
     boundaries: tuple[float, ...]
-    palette: tuple[str, ...]
 
     def __post_init__(self):
-        if not len(self.boundaries) == self.bin_count + 1 == len(self.palette) + 1:
-            raise ValueError("a color scale needs bin_count + 1 boundaries and bin_count colors")
+        if len(self.boundaries) < 2:
+            raise ValueError("a color scale needs at least two boundaries")
 
-    def color_for_bin(self, b: int) -> str:
-        return self.palette[b - 1]
-
-
-def default_palette(bin_count: int) -> tuple[str, ...]:
-    """Linear RGB ramp from blue to red across the bins."""
-    colors = []
-    for i in range(bin_count):
-        t = i / (bin_count - 1) if bin_count > 1 else 0.0
-        rgb = (round(lo + t * (hi - lo)) for lo, hi in zip(PALETTE_LOW, PALETTE_HIGH))
-        colors.append("#" + "".join(f"{c:02x}" for c in rgb))
-    return tuple(colors)
+    @property
+    def bin_count(self) -> int:
+        return len(self.boundaries) - 1
 
 
 def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -> MapperGraph:
@@ -185,8 +171,7 @@ def assign_bins(
         bins = np.minimum(np.trunc((means - b0) / ((bk - b0) / bin_count)) + 1, bin_count)
     nodes = tuple(GraphNode(n.ball, n.size, n.color_mean, b)
                   for n, b in zip(graph.nodes, bins.astype(int).tolist()))
-    scale = ColorScale(bin_count, boundaries, default_palette(bin_count))
-    return scale, MapperGraph(nodes, graph.edges)
+    return ColorScale(boundaries), MapperGraph(nodes, graph.edges)
 
 
 def connected_components(graph: MapperGraph) -> list[list[int]]:

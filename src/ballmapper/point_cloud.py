@@ -135,13 +135,14 @@ class RawTable:
         return _held_column(self, name, np.arange(len(self.rows)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Validated N x K numeric table; the space the cover is built over.
 
     Immutable after construction: the value array is marked read-only and
     row_ids keep the 0-based input file order (non-negative, strictly
-    ascending), which all downstream determinism keys off.
+    ascending), which all downstream determinism keys off. A cloud equals
+    only itself.
     """
 
     column_names: tuple[str, ...]

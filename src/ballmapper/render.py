@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import FALLBACK_FILL, ColorScale, MapperGraph
+from .graph import ColorScale, MapperGraph
 
 WIDTH = 900
 HEIGHT = 640
@@ -21,6 +21,10 @@ EDGE_COLOR = "#9a9a9a"
 EDGE_WIDTH = 1.5
 NODE_STROKE = "#333333"
 BACKGROUND = "#ffffff"
+# Documented palette endpoints: low bins blue, high bins red.
+PALETTE_LOW = (0x2C, 0x4F, 0xD8)
+PALETTE_HIGH = (0xD8, 0x2C, 0x2C)
+FALLBACK_FILL = "#b0b0b0"
 
 SVG_OPEN = (
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -50,6 +54,16 @@ class RenderOptions:
     show_labels: bool = False
 
 
+def _palette(bin_count: int) -> tuple[str, ...]:
+    """Linear RGB ramp from blue to red across the bins."""
+    colors = []
+    for i in range(bin_count):
+        t = i / (bin_count - 1) if bin_count > 1 else 0.0
+        rgb = (round(lo + t * (hi - lo)) for lo, hi in zip(PALETTE_LOW, PALETTE_HIGH))
+        colors.append("#" + "".join(f"{c:02x}" for c in rgb))
+    return tuple(colors)
+
+
 def _num(x: float) -> str:
     return f"{x:.2f}"
 
@@ -66,11 +80,12 @@ def render_graph_svg(
     scale: ColorScale | None = None,
     options: RenderOptions = RenderOptions(),
 ) -> str:
-    """Serialize the graph as an SVG document string; a scale adds a legend."""
+    """Serialize the graph as an SVG document; a scale colors its bins and adds a legend."""
     missing = [n.ball for n in graph.nodes if n.ball not in positions]
     if missing:
         raise ValueError(f"no layout position for balls {missing}")
 
+    palette = None if scale is None else _palette(scale.bin_count)
     legend_w = 0 if scale is None else 170
     margin = MAX_RADIUS + 12
     plot_w = WIDTH - legend_w - 2 * margin
@@ -94,10 +109,7 @@ def render_graph_svg(
     for n in graph.nodes:
         cx, cy = px[n.ball]
         r = _disc_radius(n.size, max_size)
-        if scale is not None and n.color_bin is not None:
-            fill = scale.color_for_bin(n.color_bin)
-        else:
-            fill = FALLBACK_FILL
+        fill = FALLBACK_FILL if palette is None or n.color_bin is None else palette[n.color_bin - 1]
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="{_num(r)}" fill="{fill}" '
             f'stroke="{NODE_STROKE}" stroke-width="1"/>'
@@ -110,12 +122,12 @@ def render_graph_svg(
             )
     parts.extend(labels)  # every label above every disc
     if legend_w:
-        parts.extend(_legend(scale))
+        parts.extend(_legend(scale, palette))
     return _document(parts)
 
 
-def _legend(scale: ColorScale) -> list[str]:
-    """The title, then one swatch and its bin's range per row, top bin first."""
+def _legend(scale: ColorScale, palette: tuple[str, ...]) -> list[str]:
+    """The title, then one palette swatch and its bin's range per row, top bin first."""
     x = WIDTH - 158
     parts = [f'<text x="{x}" y="20" font-size="12" font-family="sans-serif">mean</text>']
     for b in range(scale.bin_count, 0, -1):
@@ -124,7 +136,7 @@ def _legend(scale: ColorScale) -> list[str]:
         span = _escape(f"[{scale.boundaries[b - 1]:.4g}, {scale.boundaries[b]:.4g}{close}")
         parts.append(
             f'<rect x="{x}" y="{y}" width="{_SWATCH}" height="{_SWATCH}" '
-            f'fill="{scale.color_for_bin(b)}" stroke="{NODE_STROKE}"/>\n'
+            f'fill="{palette[b - 1]}" stroke="{NODE_STROKE}"/>\n'
             f'<text x="{x + 20}" y="{y + 11}" font-size="11" font-family="sans-serif">{span}</text>'
         )
     return parts

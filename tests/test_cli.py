@@ -11,7 +11,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from importlib.resources import files
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -280,6 +282,24 @@ def test_cli_import_leaves_out_xml_and_urllib():
     child = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                            capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
+
+
+def test_cli_import_leaves_out_importlib_resources():
+    # importlib.resources pulls in pathlib, tempfile, urllib.parse and shutil;
+    # -S keeps a site .pth file from importing it first, so numpy's directory
+    # goes on the path by hand
+    np_parent = os.path.dirname(os.path.dirname(np.__file__))
+    src = os.path.dirname(os.path.dirname(bm.__file__))
+    code = ("import sys, ballmapper.cli; print('importlib.resources' in sys.modules); "
+            "print(ballmapper.auto_csv_path())")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([src, np_parent]))
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    loaded, path = child.stdout.splitlines()
+    assert loaded == "False"
+    assert path == bm.auto_csv_path() == str(files("ballmapper").joinpath("data/auto.csv"))
+    assert os.path.isfile(path)
 
 
 class TestBallSummaryCommand:

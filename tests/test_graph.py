@@ -1,5 +1,7 @@
 import math
+import xml.etree.ElementTree as ET
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.graph import MAX_BIN_COUNT, default_palette
+from ballmapper.graph import MAX_BIN_COUNT
+from ballmapper.render import PALETTE_HIGH, PALETTE_LOW, _palette
 
 from conftest import (component_graphs, cover_from_members, cover_inputs, membership_matrix,
                       random_cloud)
@@ -264,10 +267,17 @@ class TestAssignBins:
             bm.assign_bins(g)
 
     def test_default_palette_endpoints(self):
-        pal = default_palette(8)
-        assert len(pal) == 8
-        assert pal[0] == "#2c4fd8"
-        assert pal[-1] == "#d82c2c"
+        # bin i of k (from 0) is PALETTE_LOW + i / (k - 1) of the way to
+        # PALETTE_HIGH, each channel rounded half to even from its exact value
+        for k in range(1, MAX_BIN_COUNT + 1):
+            pal = _palette(k)
+            assert len(pal) == k
+            if k > 1:
+                assert (pal[0], pal[-1]) == ("#2c4fd8", "#d82c2c")
+            for i, color in enumerate(pal):
+                t = Fraction(i, k - 1) if k > 1 else 0
+                rgb = (round(lo + t * (hi - lo)) for lo, hi in zip(PALETTE_LOW, PALETTE_HIGH))
+                assert color == "#" + "".join(f"{c:02x}" for c in rgb)
 
 
 def _bin_by_formula(scale, mean):
@@ -305,18 +315,21 @@ def _graph_of_means(means):
     return bm.MapperGraph(tuple(bm.GraphNode(b, 1, m) for b, m in enumerate(means, 1)), ())
 
 
-@pytest.mark.parametrize("boundaries, palette", [
-    ((0.0, 1.0), ("#000000",) * 3),  # too few boundaries for the bins
-    ((0.0, 0.25, 0.5, 1.0), ("#000000",) * 2),  # too few colors
-    ((0.0, 0.25, 0.5, 0.75, 1.0), ("#000000",) * 4),  # one bin too many of both
-], ids=["boundaries", "palette", "both"])
-def test_inconsistent_color_scale_refused(boundaries, palette, line_cover):
-    # such a scale once reached the renderer, whose legend raised IndexError
-    with pytest.raises(ValueError, match="needs bin_count \\+ 1 boundaries and bin_count"):
-        bm.ColorScale(3, boundaries, palette)
-    scale = bm.ColorScale(3, (0.0, 0.25, 0.5, 1.0), ("#000000",) * 3)
-    graph = bm.build_graph(line_cover)
-    assert "<svg" in bm.render_graph_svg(graph, bm.compute_layout(graph), scale)
+def test_color_scale_is_its_boundaries():
+    # the scale holds no count or colors that could disagree with them
+    for boundaries in ((), (0.0,)):
+        with pytest.raises(ValueError, match="at least two boundaries"):
+            bm.ColorScale(boundaries)
+    scale = bm.ColorScale((0.0, 0.25, 0.5, 1.0))
+    assert scale.bin_count == 3
+    graph = bm.MapperGraph(tuple(bm.GraphNode(b, 1, 0.0, b) for b in (1, 2, 3)), ())
+    positions = {b: (b / 4, 0.5) for b in (1, 2, 3)}
+    root = ET.fromstring(bm.render_graph_svg(graph, positions, scale))
+    fills = [el.get("fill") for el in root if el.tag.endswith(("circle", "rect"))]
+    legend = [el.text for el in root if el.tag.endswith("text")]
+    # background, the discs by bin, then the legend's swatches top bin first
+    assert fills == ["#ffffff", *_palette(3), *reversed(_palette(3))]
+    assert legend == ["mean", "[0.5, 1]", "[0.25, 0.5)", "[0, 0.25)"]
 
 
 def _components_reference(graph):

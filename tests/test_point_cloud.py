@@ -263,6 +263,14 @@ class TestPointCloudInvariants:
         with pytest.raises(ValueError):
             cloud.values[0, 0] = 2.0
 
+    def test_clouds_compare_by_identity(self):
+        # value equality over the array field made == raise and hash() fail
+        a, b = (bm.PointCloud(("x",), np.array([[0.0], [1.0]]), (0, 1)) for _ in range(2))
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert len({a, b, a}) == 2
+
 
 class TestStandardize:
     def test_three_point_column(self):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import render
 from ballmapper.errors import ValidationError
-from ballmapper.graph import FALLBACK_FILL, MAX_BIN_COUNT, default_palette
-from ballmapper.render import _disc_radius, _escape, _legend, _num
+from ballmapper.graph import MAX_BIN_COUNT
+from ballmapper.render import FALLBACK_FILL, _disc_radius, _escape, _legend, _num, _palette
 from ballmapper.summary import BallDistributionRow
 
 from conftest import laid_out_graphs
@@ -168,7 +168,7 @@ def _render_graph_svg_reference(graph, positions, scale=None, options=bm.RenderO
         r = _disc_radius(n.size, max_size)
         radii[n.ball] = (cx, cy, r)
         if scale is not None and n.color_bin is not None:
-            fill = scale.color_for_bin(n.color_bin)
+            fill = _palette(scale.bin_count)[n.color_bin - 1]
         else:
             fill = FALLBACK_FILL
         parts.append(
@@ -204,7 +204,7 @@ def _legend_reference(scale):
         label = _escape(f"[{lo:.4g}, {hi:.4g}{close}")
         parts.append(
             f'<rect x="{x}" y="{y}" width="14" height="14" '
-            f'fill="{scale.color_for_bin(b)}" stroke="{render.NODE_STROKE}"/>'
+            f'fill="{_palette(scale.bin_count)[b - 1]}" stroke="{render.NODE_STROKE}"/>'
         )
         parts.append(
             f'<text x="{x + 20}" y="{y + 11}" font-size="11" '
@@ -245,13 +245,14 @@ def legend_scales(draw):
         base = draw(st.floats(-1e6, 1e6))
         cell = st.integers(0, 10).map(lambda i: base * (1 + i * 1e-9))
     values = sorted(draw(st.lists(cell, min_size=bins + 1, max_size=bins + 1)))
-    return bm.ColorScale(bins, tuple(values), default_palette(bins))
+    return bm.ColorScale(tuple(values))
 
 
 @given(legend_scales(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_legend_matches_reference(scale, data):
-    assert "\n".join(_legend(scale)) == "\n".join(_legend_reference(scale))
+    legend = _legend(scale, _palette(scale.bin_count))
+    assert "\n".join(legend) == "\n".join(_legend_reference(scale))
     n = data.draw(st.integers(1, 3))
     nodes = tuple(bm.GraphNode(b, b, 0.0, data.draw(st.integers(1, scale.bin_count)))
                   for b in range(1, n + 1))
