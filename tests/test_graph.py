@@ -332,6 +332,29 @@ def test_color_scale_is_its_boundaries():
     assert legend == ["mean", "[0.5, 1]", "[0.25, 0.5)", "[0, 0.25)"]
 
 
+@pytest.mark.parametrize("boundaries, palette", [
+    ((0.0, 1.0), ("#000000",) * 3),  # too few boundaries for the bins
+    ((0.0, 0.25, 0.5, 1.0), ("#000000",) * 2),  # too few colors
+    ((0.0, 0.25, 0.5, 0.75, 1.0), ("#000000",) * 4),  # one bin too many of both
+], ids=["boundaries", "palette", "both"])
+def test_inconsistent_color_scale_refused(boundaries, palette):
+    # such a scale once reached the renderer, whose legend raised IndexError;
+    # a count or colors given beside the boundaries are now refused outright
+    with pytest.raises(TypeError):
+        bm.ColorScale(3, boundaries, palette)
+    # the boundaries alone make a scale whose count and colors agree with them
+    scale = bm.ColorScale(boundaries)
+    k = len(boundaries) - 1
+    assert scale.bin_count == k
+    graph = bm.MapperGraph(tuple(bm.GraphNode(b, 1, 0.0, b) for b in range(1, k + 1)), ())
+    positions = {b: (b / (k + 1), 0.5) for b in range(1, k + 1)}
+    root = ET.fromstring(bm.render_graph_svg(graph, positions, scale))
+    fills = [el.get("fill") for el in root if el.tag.endswith(("circle", "rect"))]
+    legend = [el.text for el in root if el.tag.endswith("text")]
+    assert fills == ["#ffffff", *_palette(k), *reversed(_palette(k))]
+    assert len(legend) == k + 1 and legend[0] == "mean"
+
+
 def _components_reference(graph):
     """The breadth-first walk that connected_components once was, kept as its oracle."""
     adjacency = {n.ball: [] for n in graph.nodes}
