@@ -1,71 +1,41 @@
 """Ball mapper: cover a multivariate point cloud with fixed-radius balls and
-study the data through the resulting overlap graph."""
+study the data through the resulting overlap graph.
 
-from .cover import BallCover, ball_sizes, build_cover
-from .datagen import XDatasetSpec, auto_csv_path, gen_gaussian_cloud, gen_x_dataset
-from .errors import ValidationError
-from .graph import (
-    ColorScale,
-    GraphNode,
-    MapperGraph,
-    assign_bins,
-    build_graph,
-    connected_components,
-)
-from .layout import compute_layout
-from .point_cloud import (
-    PointCloud,
-    RawTable,
-    StandardizationSpec,
-    correlation_matrix,
-    euclidean_distance,
-    load_csv,
-    standardize,
-    validate_axes,
-    write_point_cloud_csv,
-)
-from .render import RenderOptions, render_boxplot_svg, render_graph_svg
-from .summary import (
-    BallDistributionTable,
-    BallMeansTable,
-    ball_summary,
-    quantile,
-    variable_summary,
-)
+Each public name is imported from its module on first use (PEP 562), so
+importing the package, or the CLI, loads no module and no numpy until a name
+is read. Reading a module's name, such as ``ballmapper.layout``, imports it.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallCover",
-    "BallDistributionTable",
-    "BallMeansTable",
-    "ColorScale",
-    "GraphNode",
-    "MapperGraph",
-    "PointCloud",
-    "RawTable",
-    "RenderOptions",
-    "StandardizationSpec",
-    "ValidationError",
-    "XDatasetSpec",
-    "assign_bins",
-    "auto_csv_path",
-    "ball_sizes",
-    "ball_summary",
-    "build_cover",
-    "build_graph",
-    "compute_layout",
-    "connected_components",
-    "correlation_matrix",
-    "euclidean_distance",
-    "gen_gaussian_cloud",
-    "gen_x_dataset",
-    "load_csv",
-    "quantile",
-    "render_boxplot_svg",
-    "render_graph_svg",
-    "standardize",
-    "validate_axes",
-    "variable_summary",
-    "write_point_cloud_csv",
-]
+_MODULES = {
+    "cover": ("BallCover", "ball_sizes", "build_cover"),
+    "datagen": ("XDatasetSpec", "auto_csv_path", "gen_gaussian_cloud", "gen_x_dataset"),
+    "errors": ("ValidationError",),
+    "graph": ("ColorScale", "GraphNode", "MapperGraph", "assign_bins", "build_graph",
+              "connected_components"),
+    "layout": ("compute_layout",),
+    "point_cloud": ("PointCloud", "RawTable", "StandardizationSpec", "correlation_matrix",
+                    "euclidean_distance", "load_csv", "standardize", "validate_axes",
+                    "write_point_cloud_csv"),
+    "render": ("RenderOptions", "render_boxplot_svg", "render_graph_svg"),
+    "summary": ("BallDistributionTable", "BallMeansTable", "ball_summary", "quantile",
+                "variable_summary"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

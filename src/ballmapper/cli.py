@@ -9,6 +9,9 @@ silently invalidates an earlier analysis.
 Exit codes: 0 success, 1 validation error, 2 I/O error or out of memory.
 Every command writes its files all or none, so a failed command leaves
 earlier outputs untouched, and a failed write names its target.
+
+Each command imports the modules it runs, so building the parser loads no
+numpy and a summary loads no cover, graph or layout module.
 """
 from __future__ import annotations
 
@@ -18,12 +21,7 @@ import os
 import sys
 from itertools import islice
 
-from . import datagen, layout, render, summary
-from .cover import _check_cover_args, build_cover
 from .errors import ValidationError
-from .graph import DEFAULT_BIN_COUNT, _check_bin_count, assign_bins, build_graph
-from .point_cloud import PointCloud, RawTable, _checked_axes, _checked_column, _read_table
-from .point_cloud import _row_texts, format_floats, standardize, write_point_cloud_csv
 
 RESULTS_HEADER = (
     "type", "ball", "x", "y", "size", "color_mean", "color_bin",
@@ -35,6 +33,8 @@ def _write_results_csv(path, graph, positions):
     # Every cell is a fixed word, an int or format_floats text, none of which
     # csv would quote, so each row is written as one line; each ball's x,y
     # text is made once.
+    from .point_cloud import format_floats
+
     xs = format_floats([x for x, _ in positions.values()])
     ys = format_floats([y for _, y in positions.values()])
     xy = {b: f"{x},{y}" for b, x, y in zip(positions, xs, ys)}
@@ -54,6 +54,8 @@ def _write_results_csv(path, graph, positions):
 def _write_merged_csv(path, table, cover):
     # table is (header, lines): a plain input's own lines, or a RawTable's
     # _row_texts. Every line, the header's too, is a ball cell, a comma and a text.
+    from .point_cloud import RawTable, _row_texts
+
     if isinstance(table, RawTable):
         table = table.column_names, _row_texts(table.rows)
     header, lines = table
@@ -117,6 +119,11 @@ def _write_text(path, text: str) -> None:
 # pairs, where write(path) fills one file, and the line to print once all of
 # them are in place. main does the refusing, writing and printing.
 def cmd_run(args: argparse.Namespace):
+    from . import layout, render
+    from .cover import _check_cover_args, build_cover
+    from .graph import _check_bin_count, assign_bins, build_graph
+    from .point_cloud import PointCloud, _checked_axes, _checked_column, _read_table, standardize
+
     _check_cover_args(args.epsilon, args.order, args.seed)  # flags before the input is read
     if args.color is not None:
         _check_bin_count(args.bins)
@@ -154,15 +161,21 @@ def cmd_run(args: argparse.Namespace):
 
 
 def cmd_ball_summary(args: argparse.Namespace):
+    from . import summary
+
     table = summary.means_from_merged(args.merged, args.variables)
     message = f"Ball means for {len(table.rows)} balls written to {args.out}"
     return [(args.out, table.write)], message
 
 
 def cmd_variable_summary(args: argparse.Namespace):
+    from . import summary
+
     table = summary.distribution_from_merged(args.merged, args.variable)
     writers = [(args.out, table.write)]
     if args.boxplot is not None:
+        from . import render
+
         svg = render.render_boxplot_svg(table.rows, title=args.variable)
         writers.append((args.boxplot, lambda p: _write_text(p, svg)))
     targets = ", ".join(str(p) for p, _ in writers)
@@ -170,6 +183,9 @@ def cmd_variable_summary(args: argparse.Namespace):
 
 
 def cmd_gen(args: argparse.Namespace):
+    from . import datagen
+    from .point_cloud import write_point_cloud_csv
+
     if args.dataset == "gauss":
         cloud = datagen.gen_gaussian_cloud(args.n, args.k, args.seed)
     else:
@@ -182,14 +198,31 @@ def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _run_defaults() -> dict:
+    """run's flags whose defaults are the library's, read when a run is parsed."""
+    from . import graph, layout
+
+    return {"repulsion": layout.DEFAULT_REPULSION, "attraction": layout.DEFAULT_ATTRACTION,
+            "iterations": layout.DEFAULT_ITERATIONS, "bins": graph.DEFAULT_BIN_COUNT}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ValidationError, so it exits 1.
 
-    add_subparsers makes each subcommand's parser of this class too.
+    add_subparsers makes each subcommand's parser of this class too. A flag
+    left off the command line takes the default that its command's
+    library_defaults returns, so that building the parser imports no numpy.
     """
 
     def error(self, message):
         raise ValidationError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        args = super().parse_args(args, namespace)
+        for dest, default in getattr(args, "library_defaults", dict)().items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,18 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis column names")
     p.add_argument("--epsilon", "-e", required=True, type=float)
     p.add_argument("--color", default=None)
-    p.add_argument("--repulsion", type=float, default=layout.DEFAULT_REPULSION)
-    p.add_argument("--attraction", type=float, default=layout.DEFAULT_ATTRACTION)
+    p.add_argument("--repulsion", type=float)
+    p.add_argument("--attraction", type=float)
     p.add_argument("--labels", action="store_true")
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--order", choices=("data", "shuffle"), default="data")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
-    p.add_argument("--iterations", type=int, default=layout.DEFAULT_ITERATIONS)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--iterations", type=int)
     p.add_argument("--svg", default="bm_graph.svg")
     p.add_argument("--results", default="bm_results.csv")
     p.add_argument("--merged", default="bm_merged.csv")
-    p.set_defaults(func=cmd_run, paths=("input", "svg", "results", "merged"))
+    p.set_defaults(func=cmd_run, paths=("input", "svg", "results", "merged"),
+                   library_defaults=_run_defaults)
 
     p = sub.add_parser("ball-summary", help="per-ball means from a merged CSV")
     p.add_argument("--merged", required=True)
@@ -245,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's exit after --help; a bad flag raises ValidationError
+            return exc.code
         _refuse_same_file({f"--{dest}": getattr(args, dest) for dest in args.paths})
         writers, message = args.func(args)
         _write_all_or_none(writers)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
+from .point_cloud import _ball_means
 
 DEFAULT_BIN_COUNT = 8
 # The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
@@ -86,32 +87,6 @@ def build_graph(cover: BallCover, color_values: Sequence[float] | None = None) -
 
     nodes = tuple(map(GraphNode, cover.ball_ids, cover.sizes.tolist(), means))  # ball, size, mean
     return MapperGraph(nodes, _overlap_edges(cover.rows, cover.sizes))
-
-
-def _by_size(sizes: np.ndarray, rows: np.ndarray):
-    """Per distinct ball size, ascending, the positions `at` of its balls and
-    their members, from each ball's rows in turn, as one (balls x size) array."""
-    starts = np.cumsum(sizes) - sizes
-    for size in sorted(set(sizes.tolist())):  # np.unique(sizes) would import numpy.ma
-        at = np.flatnonzero(sizes == size)
-        yield at, rows[starts[at][:, None] + np.arange(size)]
-
-
-def _ball_means(sizes: np.ndarray, rows: np.ndarray, cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The mean of each column over each ball's rows, as a (columns x balls)
-    array; a mean that overflows is left as inf or nan for the caller to refuse.
-
-    Each gather col[members] is C-contiguous, so .mean(axis=1) sums each row
-    pairwise exactly as .mean() sums the ball's members alone; a gather that
-    is not, such as block[:, idx] of a V x N block, or np.add.reduceat sums
-    in another order and changes the last bits.
-    """
-    means = np.empty((len(cols), len(sizes)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for at, members in _by_size(sizes, rows):  # the blocks are built once for all columns
-            for k, col in enumerate(cols):
-                means[k, at] = col[members].mean(axis=1)
-    return means
 
 
 def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Tabular ingestion, validation and column statistics for the point cloud.
+"""Tabular ingestion, validation and column statistics for the point cloud and
+over each ball's members.
 
 CSV dialect: RFC-4180 style, header row mandatory, UTF-8, LF or CRLF accepted
 on input, always LF on output. Floats are written with the shortest
@@ -475,6 +476,32 @@ def correlation_matrix(cloud: PointCloud) -> np.ndarray:
             m[i, j] = r
             m[j, i] = r
     return m
+
+
+def _by_size(sizes: np.ndarray, rows: np.ndarray):
+    """Per distinct ball size, ascending, the positions `at` of its balls and
+    their members, from each ball's rows in turn, as one (balls x size) array."""
+    starts = np.cumsum(sizes) - sizes
+    for size in sorted(set(sizes.tolist())):  # np.unique(sizes) would import numpy.ma
+        at = np.flatnonzero(sizes == size)
+        yield at, rows[starts[at][:, None] + np.arange(size)]
+
+
+def _ball_means(sizes: np.ndarray, rows: np.ndarray, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The mean of each column over each ball's rows, as a (columns x balls)
+    array; a mean that overflows is left as inf or nan for the caller to refuse.
+
+    Each gather col[members] is C-contiguous, so .mean(axis=1) sums each row
+    pairwise exactly as .mean() sums the ball's members alone; a gather that
+    is not, such as block[:, idx] of a V x N block, or np.add.reduceat sums
+    in another order and changes the last bits.
+    """
+    means = np.empty((len(cols), len(sizes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for at, members in _by_size(sizes, rows):  # the blocks are built once for all columns
+            for k, col in enumerate(cols):
+                means[k, at] = col[members].mean(axis=1)
+    return means
 
 
 def csv_lines(rows: Iterable[Iterable]) -> Iterator[str]:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .graph import ColorScale, MapperGraph
+
+if TYPE_CHECKING:  # annotations only: drawing a boxplot loads no graph module
+    from .graph import ColorScale, MapperGraph
 
 WIDTH = 900
 HEIGHT = 640

@@ -10,15 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .cover import BallCover
 from .errors import ValidationError
-from .graph import _ball_means, _by_size
-from .point_cloud import RawTable, _ball_ids, _checked_column, _held_column, _read_table
-from .point_cloud import distinct_names, format_floats, write_cells
+from .point_cloud import RawTable, _ball_ids, _ball_means, _by_size, _checked_column
+from .point_cloud import _held_column, _read_table, distinct_names, format_floats, write_cells
+
+if TYPE_CHECKING:  # annotations only: a summary of a merged file loads no cover module
+    from .cover import BallCover
 
 _INTEGRAL_TOL = 1e-9
 # Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,

@@ -1,5 +1,8 @@
 """The package's public surface: its exported names and its one exception class."""
+import importlib
 import inspect
+
+import pytest
 
 import ballmapper as bm
 from ballmapper import errors
@@ -20,6 +23,20 @@ def test_public_names_are_pinned():
     assert set(bm.__all__) == PUBLIC_NAMES
     assert all(hasattr(bm, name) for name in PUBLIC_NAMES)
     assert not hasattr(bm, "membership_matrix")
+
+
+def test_lazy_namespace_lists_binds_and_refuses_names():
+    assert set(bm.__all__) <= set(dir(bm))
+    namespace = {}
+    exec("from ballmapper import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == PUBLIC_NAMES and len(namespace) == 32
+    for name, value in namespace.items():
+        assert value.__module__.startswith("ballmapper.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+        assert vars(bm)[name] is value  # resolved once, then cached in the package
+    with pytest.raises(AttributeError, match="nosuch"):
+        bm.nosuch
 
 
 def test_errors_defines_one_exception_class():

@@ -284,22 +284,94 @@ def test_cli_import_leaves_out_xml_and_urllib():
     assert child.stdout == "[]\n"
 
 
-def test_cli_import_leaves_out_importlib_resources():
-    # importlib.resources pulls in pathlib, tempfile, urllib.parse and shutil;
-    # -S keeps a site .pth file from importing it first, so numpy's directory
-    # goes on the path by hand
+def _bare_child_env():
+    """The environment of a `python -S` child: -S keeps a site .pth file from
+    importing modules first, so numpy's directory goes on the path by hand."""
     np_parent = os.path.dirname(os.path.dirname(np.__file__))
     src = os.path.dirname(os.path.dirname(bm.__file__))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join([src, np_parent]))
+
+
+def test_cli_import_leaves_out_importlib_resources():
+    # importlib.resources pulls in pathlib, tempfile, urllib.parse and shutil
     code = ("import sys, ballmapper.cli; print('importlib.resources' in sys.modules); "
             "print(ballmapper.auto_csv_path())")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([src, np_parent]))
-    child = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=_bare_child_env(),
                            capture_output=True, text=True, check=True)
     loaded, path = child.stdout.splitlines()
     assert loaded == "False"
     assert path == bm.auto_csv_path() == str(files("ballmapper").joinpath("data/auto.csv"))
     assert os.path.isfile(path)
+
+
+def _loaded_by(argv):
+    """The ballmapper modules, and numpy if loaded, in sys.modules after a fresh
+    `python -S` interpreter runs main(argv), or only builds the parser for argv None."""
+    code = ("import json, sys, ballmapper.cli as cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv is None:\n"
+            "    cli.build_parser()\n"
+            "else:\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m == 'numpy' or m.startswith('ballmapper.'))))")
+    arg = json.dumps(None if argv is None else list(map(str, argv)))
+    child = subprocess.run([sys.executable, "-S", "-c", code, arg], env=_bare_child_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.splitlines()[-1].split())
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # every command is a fresh interpreter: building the parser loads no numpy,
+    # and a command loads no module it does not run
+    inp, merged = tmp_path / "in.csv", tmp_path / "m.csv"
+    inp.write_text("x,y\n0,0\n1,1\n2,0\n")
+    merged.write_text("ball,x,y\n1,0,2\n1,1,4\n2,1,4\n2,2,6\n")
+    mods = {name: f"ballmapper.{name}"
+            for name in ("cover", "datagen", "graph", "layout", "render", "summary")}
+    assert _loaded_by(None) == {"ballmapper.cli", "ballmapper.errors"}
+    loaded = _loaded_by(["ball-summary", "--merged", merged, "--variables", "y",
+                         "-o", tmp_path / "means.csv"])
+    assert "numpy" in loaded
+    assert not loaded & {mods[m] for m in ("cover", "graph", "layout", "render", "datagen")}
+    loaded = _loaded_by(["variable-summary", "--merged", merged, "--variable", "y",
+                         "-o", tmp_path / "y.csv", "--boxplot", tmp_path / "y.svg"])
+    assert mods["render"] in loaded
+    assert not loaded & {mods[m] for m in ("cover", "graph", "layout", "datagen")}
+    loaded = _loaded_by(["run", "-i", inp, "--axes", "x,y", "-e", "1.5", "--color", "x",
+                         "--iterations", "2", "--svg", tmp_path / "g.svg",
+                         "--results", tmp_path / "r.csv", "--merged", tmp_path / "m2.csv"])
+    assert {mods[m] for m in ("cover", "graph", "layout", "render")} <= loaded
+    assert not loaded & {mods["summary"], mods["datagen"]}
+    loaded = _loaded_by(["gen", "gauss", "--n", "10", "-o", tmp_path / "gauss.csv"])
+    assert mods["datagen"] in loaded
+    assert not loaded & {mods[m] for m in ("cover", "graph", "layout", "render", "summary")}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+def test_help_returns_zero_and_prints_the_parser_help(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv == ["--help"]:
+        assert out == cli.build_parser().format_help()
+    else:
+        assert out.startswith("usage: ballmapper run [-h] --input INPUT --axes AXES")
+        assert "--repulsion REPULSION" in out and "--iterations ITERATIONS" in out
+    child = subprocess.run([sys.executable, "-m", "ballmapper.cli", *argv], env=_child_env(),
+                           capture_output=True, text=True)
+    assert (child.returncode, child.stdout, child.stderr) == (0, out, "")
+
+
+def test_unset_run_flags_take_the_library_defaults():
+    args = cli.build_parser().parse_args(["run", "-i", "x.csv", "--axes", "x", "-e", "1"])
+    assert (args.repulsion, args.attraction, args.iterations, args.bins) == (
+        bm.layout.DEFAULT_REPULSION, bm.layout.DEFAULT_ATTRACTION,
+        bm.layout.DEFAULT_ITERATIONS, bm.graph.DEFAULT_BIN_COUNT)
+    args = cli.build_parser().parse_args(["run", "-i", "x.csv", "--axes", "x", "-e", "1",
+                                          "--repulsion", "2", "--bins", "3"])
+    assert (args.repulsion, args.attraction, args.bins) == (2.0, bm.layout.DEFAULT_ATTRACTION, 3)
 
 
 class TestBallSummaryCommand:

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import point_cloud, summary
 from ballmapper.errors import ValidationError
-from ballmapper.graph import _ball_means, _by_size
-from ballmapper.point_cloud import format_floats, write_cells
+from ballmapper.point_cloud import _ball_means, _by_size, format_floats, write_cells
 
 from conftest import membership_matrix
 
