@@ -5,8 +5,6 @@ Each public name is imported from its module on first use (PEP 562), so
 importing the package, or the CLI, loads no module and no numpy until a name
 is read. Reading a module's name, such as ``ballmapper.layout``, imports it.
 """
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 _MODULES = {
@@ -29,6 +27,8 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
+    from importlib import import_module
+
     if name in _MODULES:
         return import_module(f".{name}", __name__)  # the import binds it here
     if name not in _MODULE_OF:

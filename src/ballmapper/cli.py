@@ -209,9 +209,9 @@ def _run_defaults() -> dict:
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a ValidationError, so it exits 1.
 
-    add_subparsers makes each subcommand's parser of this class too. A flag
-    left off the command line takes the default that its command's
-    library_defaults returns, so that building the parser imports no numpy.
+    add_subparsers makes each subcommand's parser of this class too. A run
+    flag left off the command line takes the library's default from
+    _run_defaults, so that building the parser imports no numpy.
     """
 
     def error(self, message):
@@ -219,9 +219,10 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):
         args = super().parse_args(args, namespace)
-        for dest, default in getattr(args, "library_defaults", dict)().items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
+        if args.command == "run":
+            for dest, default in _run_defaults().items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
         return args
 
 
@@ -249,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default="bm_graph.svg")
     p.add_argument("--results", default="bm_results.csv")
     p.add_argument("--merged", default="bm_merged.csv")
-    p.set_defaults(func=cmd_run, paths=("input", "svg", "results", "merged"),
-                   library_defaults=_run_defaults)
+    p.set_defaults(func=cmd_run, paths=("input", "svg", "results", "merged"))
 
     p = sub.add_parser("ball-summary", help="per-ball means from a merged CSV")
     p.add_argument("--merged", required=True)

@@ -37,6 +37,8 @@ def test_lazy_namespace_lists_binds_and_refuses_names():
         assert vars(bm)[name] is value  # resolved once, then cached in the package
     with pytest.raises(AttributeError, match="nosuch"):
         bm.nosuch
+    for name in set(dir(bm)) - set(bm.__all__):  # beyond __all__, only submodules are public
+        assert name.startswith("_") or getattr(bm, name).__name__ == f"ballmapper.{name}"
 
 
 def test_errors_defines_one_exception_class():

@@ -277,11 +277,13 @@ def test_commands_leave_out_numpy_ma(tmp_path):
 
 
 def test_cli_import_leaves_out_xml_and_urllib():
-    code = ("import sys, ballmapper.cli; "
-            "print([m for m in ('xml.sax', 'urllib.request') if m in sys.modules])")
+    # the star import loads every module of the package, render among them
+    code = ("import sys, ballmapper.cli; from ballmapper import *; "
+            "print('ballmapper.render' in sys.modules, "
+            "[m for m in ('xml.sax', 'urllib.request') if m in sys.modules])")
     child = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                            capture_output=True, text=True, check=True)
-    assert child.stdout == "[]\n"
+    assert child.stdout == "True []\n"
 
 
 def _bare_child_env():
@@ -295,8 +297,8 @@ def _bare_child_env():
 
 def test_cli_import_leaves_out_importlib_resources():
     # importlib.resources pulls in pathlib, tempfile, urllib.parse and shutil
-    code = ("import sys, ballmapper.cli; print('importlib.resources' in sys.modules); "
-            "print(ballmapper.auto_csv_path())")
+    code = ("import sys, ballmapper.cli; from ballmapper import *; path = auto_csv_path(); "
+            "print('importlib.resources' in sys.modules); print(path)")
     child = subprocess.run([sys.executable, "-S", "-c", code], env=_bare_child_env(),
                            capture_output=True, text=True, check=True)
     loaded, path = child.stdout.splitlines()
