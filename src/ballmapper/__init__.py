@@ -18,8 +18,7 @@ _MODULES = {
                     "euclidean_distance", "load_csv", "standardize", "validate_axes",
                     "write_point_cloud_csv"),
     "render": ("RenderOptions", "render_boxplot_svg", "render_graph_svg"),
-    "summary": ("BallDistributionTable", "BallMeansTable", "ball_summary", "quantile",
-                "variable_summary"),
+    "summary": ("BallDistributionTable", "BallMeansTable", "ball_summary", "variable_summary"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .cover import BallCover
 from .errors import ValidationError
-from .point_cloud import _ball_means
+from .point_cloud import _ball_means, _by_size, _groups
 
 DEFAULT_BIN_COUNT = 8
 # The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
@@ -94,20 +94,17 @@ def _overlap_edges(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
     rows and sizes are a cover's: every ball's member row ids, ball after
     ball, and the ball sizes. Each point adds one to the shared count of
-    every pair of balls holding it. Points held by m balls form one m-wide
-    table of ball ids, ascending along each row; its column pairs are packed
-    as source * (B + 1) + target keys, whose order is the order of (source, target).
+    every pair of balls holding it. Grouped by row id as the summaries group
+    by ball id, the points held by m balls form one m-wide table of ball ids,
+    ascending along each row; its column pairs are packed as source * (B + 1)
+    + target keys, whose order is the order of (source, target).
     """
     stride = len(sizes) + 1
     balls = np.repeat(np.arange(1, stride, dtype=np.int64), sizes)
-    order = np.argsort(rows, kind="stable")  # balls stay ascending within a row
-    rows, balls = rows[order], balls[order]
-    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    mult = np.diff(np.append(starts, len(rows)))
-    keys = [np.empty(0, dtype=np.int64)]
-    for m in range(2, int(mult.max()) + 1):
-        table = balls[starts[mult == m][:, None] + np.arange(m)]
-        i, j = np.triu_indices(m, 1)
+    _, mult, order = _groups(rows)  # the stable sort keeps balls ascending within a row
+    keys = []
+    for _, table in _by_size(mult, balls[order]):  # a table of m = 1 gives no key
+        i, j = np.triu_indices(table.shape[1], 1)
         keys.append((table[:, i] * stride + table[:, j]).ravel())
     pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
     return np.column_stack((pairs // stride, pairs % stride, shared))

@@ -32,6 +32,9 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 # may hold: printable ASCII but the quote, and LF.
 _BLOCK_BYTES = 1 << 18
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
+# their intp sizes, and each ball's rows in turn, in file order; a cover gives 1..B and its own.
+_Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def format_floats(values) -> list[str]:
@@ -476,6 +479,15 @@ def correlation_matrix(cloud: PointCloud) -> np.ndarray:
             m[i, j] = r
             m[j, i] = r
     return m
+
+
+def _groups(balls: np.ndarray) -> _Groups:
+    """(ids, sizes, rows) of a non-empty ball id column: the distinct ids ascending,
+    their counts, and the row indices ball after ball, each ball's in file order."""
+    rows = np.argsort(balls, kind="stable")
+    ordered = balls[rows]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.diff(starts, append=len(rows)), rows
 
 
 def _by_size(sizes: np.ndarray, rows: np.ndarray):

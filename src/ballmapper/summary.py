@@ -2,7 +2,7 @@
 
 Points belonging to several balls contribute fully to every containing ball,
 so ball sizes sum to at least N. The quantile convention is the averaging /
-order-statistic rule (see quantile); the sample sd of a single observation is
+order-statistic rule (see _quantiles); the sample sd of a single observation is
 undefined and serializes as an empty CSV field, never 0.
 """
 from __future__ import annotations
@@ -15,37 +15,18 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .point_cloud import RawTable, _ball_ids, _ball_means, _by_size, _checked_column
-from .point_cloud import _held_column, _read_table, distinct_names, format_floats, write_cells
+from .point_cloud import RawTable, _Groups, _ball_ids, _ball_means, _by_size, _checked_column
+from .point_cloud import _groups, _held_column, _read_table, distinct_names, format_floats
+from .point_cloud import write_cells
 
 if TYPE_CHECKING:  # annotations only: a summary of a merged file loads no cover module
     from .cover import BallCover
 
 _INTEGRAL_TOL = 1e-9
-# Ball membership as the per-ball statistics read it, (ids, sizes, rows): ball ids ascending,
-# their intp sizes, and each ball's rows in turn, in file order; a cover gives 1..B and its own.
-_Groups = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def quantile(values: Sequence[float], p: float) -> float:
-    """p-th percentile of ascending values, p in (0, 100).
-
-    With h = n * p / 100: if h is an integer, the result is the average of the
-    h-th and (h+1)-th order statistics; otherwise it is the ceil(h)-th order
-    statistic.
-    """
-    n = len(values)
-    if n == 0:
-        raise ValueError("quantile of empty input")
-    if not 0 < p < 100:
-        raise ValueError("p must lie strictly between 0 and 100")
-    # _quantiles halves first where the sum overflows; -inf and inf average to NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_quantiles(np.asarray(values, dtype=float)[None, :], p)[0])
 
 
 def _order_statistics(n: int, p: float) -> tuple[int, int]:
-    """The 0-based positions of the two order statistics quantile averages (equal if one)."""
+    """The 0-based positions of the two order statistics _quantiles averages (equal if one)."""
     h = n * p / 100.0
     rounded = round(h)
     if abs(h - rounded) < _INTEGRAL_TOL and rounded >= 1:
@@ -54,7 +35,9 @@ def _order_statistics(n: int, p: float) -> tuple[int, int]:
 
 
 def _quantiles(rows: np.ndarray, p: float) -> np.ndarray:
-    """quantile of each row of a (balls x size) array of ascending rows."""
+    """The p-th percentile, p in (0, 100), of each row of a (balls x size) array of
+    ascending rows. With h = size * p / 100: if h is an integer, the average of the
+    h-th and (h+1)-th order statistics; otherwise the ceil(h)-th order statistic."""
     i, j = _order_statistics(rows.shape[1], p)
     a, b = rows[:, i], rows[:, j]  # a == b gives a, by either rule
     mid = (a + b) / 2.0
@@ -119,13 +102,6 @@ def _refuse_overflow(ids: np.ndarray, stats: np.ndarray, names: Sequence[tuple[s
         i, k = np.argwhere(bad.T)[0].tolist()  # argwhere walks in row-major order
         stat, variable = names[k]
         raise ValidationError(f"the {stat} of {variable!r} in ball {ids[i]} overflows float64")
-
-
-def _groups(balls: np.ndarray) -> _Groups:
-    """(ids, sizes, rows) of a ball id column: the distinct ids ascending, their
-    counts, and the row indices ball after ball, each ball's in file order."""
-    ids, sizes = np.unique(balls, return_counts=True)
-    return ids, sizes, np.argsort(balls, kind="stable")
 
 
 def ball_groups_from_merged(raw: RawTable) -> _Groups:

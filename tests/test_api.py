@@ -13,16 +13,17 @@ PUBLIC_NAMES = {
     "StandardizationSpec", "ValidationError", "XDatasetSpec", "assign_bins",
     "auto_csv_path", "ball_sizes", "ball_summary", "build_cover", "build_graph",
     "compute_layout", "connected_components", "correlation_matrix", "euclidean_distance",
-    "gen_gaussian_cloud", "gen_x_dataset", "load_csv", "quantile", "render_boxplot_svg",
+    "gen_gaussian_cloud", "gen_x_dataset", "load_csv", "render_boxplot_svg",
     "render_graph_svg", "standardize", "validate_axes", "variable_summary",
     "write_point_cloud_csv",
 }
 
 
 def test_public_names_are_pinned():
-    assert set(bm.__all__) == PUBLIC_NAMES
+    assert set(bm.__all__) == PUBLIC_NAMES and len(PUBLIC_NAMES) == 31
     assert all(hasattr(bm, name) for name in PUBLIC_NAMES)
     assert not hasattr(bm, "membership_matrix")
+    assert not hasattr(bm, "quantile")  # the summaries' rule is summary._quantiles
 
 
 def test_lazy_namespace_lists_binds_and_refuses_names():
@@ -30,7 +31,7 @@ def test_lazy_namespace_lists_binds_and_refuses_names():
     namespace = {}
     exec("from ballmapper import *", namespace)
     namespace.pop("__builtins__")
-    assert set(namespace) == PUBLIC_NAMES and len(namespace) == 32
+    assert set(namespace) == PUBLIC_NAMES and len(namespace) == 31
     for name, value in namespace.items():
         assert value.__module__.startswith("ballmapper.")
         assert getattr(importlib.import_module(value.__module__), name) is value

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ballmapper as bm
 from ballmapper.errors import ValidationError
-from ballmapper.graph import MAX_BIN_COUNT
+from ballmapper.graph import MAX_BIN_COUNT, _overlap_edges
 from ballmapper.render import PALETTE_HIGH, PALETTE_LOW, _palette
 
 from conftest import (component_graphs, cover_from_members, cover_inputs, membership_matrix,
@@ -36,6 +36,48 @@ def _edges_by_multiplicity(cover):
     for balls in membership_matrix(cover).values():
         shared.update(combinations(balls, 2))
     return [[q, s, n] for (q, s), n in sorted(shared.items())]
+
+
+def _overlap_edges_reference(rows, sizes):
+    """_overlap_edges' own per-multiplicity loop, kept as the oracle of its
+    grouping through _groups and _by_size."""
+    stride = len(sizes) + 1
+    balls = np.repeat(np.arange(1, stride, dtype=np.int64), sizes)
+    order = np.argsort(rows, kind="stable")  # balls stay ascending within a row
+    rows, balls = rows[order], balls[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    mult = np.diff(np.append(starts, len(rows)))
+    keys = [np.empty(0, dtype=np.int64)]
+    for m in range(2, int(mult.max()) + 1):
+        table = balls[starts[mult == m][:, None] + np.arange(m)]
+        i, j = np.triu_indices(m, 1)
+        keys.append((table[:, i] * stride + table[:, j]).ravel())
+    pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+    return np.column_stack((pairs // stride, pairs % stride, shared))
+
+
+def _as_rows_and_sizes(members):
+    """A cover's (rows, sizes) from its balls' member row ids, as build_cover stores them."""
+    return (np.array([r for m in members for r in m], dtype=np.intp),
+            np.array([len(m) for m in members], dtype=np.intp))
+
+
+_MEMBERS = st.lists(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True).map(sorted),
+                    min_size=1, max_size=14)
+
+
+@given(st.one_of(
+    _MEMBERS,
+    cover_inputs().map(lambda inputs: bm.build_cover(*inputs).members),
+))
+@example([[0], [1, 2], [5, 9], [40]])  # no point shared
+@example([[3, 7] + [i] for i in range(10, 20)] + [[3], [7, 8]])  # row 3 in 11 balls
+@settings(max_examples=200, deadline=None)
+def test_overlap_edges_match_the_per_multiplicity_loop_bit_for_bit(members):
+    rows, sizes = _as_rows_and_sizes(members)
+    got, want = _overlap_edges(rows, sizes), _overlap_edges_reference(rows, sizes)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _means_reference(cover, color_values):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ballmapper as bm
 from ballmapper import point_cloud, summary
 from ballmapper.errors import ValidationError
-from ballmapper.point_cloud import _ball_means, _by_size, format_floats, write_cells
+from ballmapper.point_cloud import _ball_means, _by_size, _groups, format_floats, write_cells
 
 from conftest import membership_matrix
 
@@ -30,8 +30,14 @@ def oracle_quantile(values, p):
     return s[k - 1]
 
 
+def quantile(values, p):
+    """summary._quantiles of one ascending row, as a float; -inf and inf average to NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing midpoint is halved
+        return float(summary._quantiles(np.asarray(values, dtype=float)[None, :], p)[0])
+
+
 def quantile_reference(values, p):
-    """quantile's scalar code before it called _quantiles: the averaging rule on
+    """The scalar quantile's code before it called _quantiles: the averaging rule on
     Python floats, halving first where the sum overflows."""
     i, j = summary._order_statistics(len(values), p)
     if i == j:
@@ -44,27 +50,27 @@ def quantile_reference(values, p):
 class TestQuantile:
     def test_frozen_four_point_set(self):
         vals = sorted([4099.0, 4187.0, 6486.0, 8129.0])
-        assert bm.quantile(vals, 25) == 4143.0
-        assert bm.quantile(vals, 50) == 5336.5
-        assert bm.quantile(vals, 75) == 7307.5
+        assert quantile(vals, 25) == 4143.0
+        assert quantile(vals, 50) == 5336.5
+        assert quantile(vals, 75) == 7307.5
 
     def test_singleton(self):
         for p in (1, 25, 50, 99):
-            assert bm.quantile([7.0], p) == 7.0
+            assert quantile([7.0], p) == 7.0
 
     def test_three_values_median(self):
-        assert bm.quantile([1.0, 2.0, 3.0], 50) == 2.0  # h = 1.5 -> 2nd order stat
+        assert quantile([1.0, 2.0, 3.0], 50) == 2.0  # h = 1.5 -> 2nd order stat
 
     def test_two_value_median_is_average(self):
-        assert bm.quantile([3.0, 5.0], 50) == 4.0
+        assert quantile([3.0, 5.0], 50) == 4.0
 
     def test_midpoint_that_overflows_halves_first(self):
-        assert bm.quantile([1.7e308, 1.7e308], 50) == 1.7e308
-        assert bm.quantile([5e-324, 5e-324], 50) == 5e-324  # halving first would give 0
+        assert quantile([1.7e308, 1.7e308], 50) == 1.7e308
+        assert quantile([5e-324, 5e-324], 50) == 5e-324  # halving first would give 0
 
     def test_infinite_ends_average_as_python_floats_do(self):
-        assert math.isnan(bm.quantile([-math.inf, math.inf], 50))  # with no warning
-        assert bm.quantile([math.inf, math.inf], 50) == math.inf
+        assert math.isnan(quantile([-math.inf, math.inf], 50))
+        assert quantile([math.inf, math.inf], 50) == math.inf
 
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
@@ -74,7 +80,7 @@ class TestQuantile:
     def test_finite_averages_unchanged_bit_for_bit(self, values, p):
         s = sorted(values)
         averaged = oracle_quantile(s, p)  # (a + b) / 2 with no overflow fallback
-        q = bm.quantile(s, p)
+        q = quantile(s, p)
         if math.isinf(averaged):
             assert s[0] <= q <= s[-1]
         else:
@@ -91,26 +97,18 @@ class TestQuantile:
             got = summary._quantiles(rows, p)
         want = [quantile_reference(row, p) for row in rows.tolist()]
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
-        scalar = [bm.quantile(row, p) for row in rows.tolist()]
+        scalar = [quantile(row, p) for row in rows.tolist()]
         assert np.array(scalar).view(np.int64).tolist() == got.view(np.int64).tolist()
-
-    def test_empty_and_bad_p(self):
-        with pytest.raises(ValueError):
-            bm.quantile([], 50)
-        with pytest.raises(ValueError):
-            bm.quantile([1.0], 0)
-        with pytest.raises(ValueError):
-            bm.quantile([1.0], 100)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_extreme_percentiles_hit_extremes(self, values):
         s = sorted(values)
-        assert bm.quantile(s, 1) == oracle_quantile(values, 1)
-        assert bm.quantile(s, 99) == oracle_quantile(values, 99)
+        assert quantile(s, 1) == oracle_quantile(values, 1)
+        assert quantile(s, 99) == oracle_quantile(values, 99)
         if len(s) < 100:
-            assert bm.quantile(s, 1) == s[0]
-            assert bm.quantile(s, 99) == s[-1]
+            assert quantile(s, 1) == s[0]
+            assert quantile(s, 99) == s[-1]
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
@@ -118,7 +116,7 @@ class TestQuantile:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, values, p):
-        assert bm.quantile(sorted(values), p) == oracle_quantile(values, p)
+        assert quantile(sorted(values), p) == oracle_quantile(values, p)
 
 
 # ball sizes on both sides of numpy's pairwise-summation blocks (8 and 128)
@@ -153,6 +151,27 @@ def _groups_reference(balls):
     return dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
 
+def _groups_by_unique(balls):
+    """_groups as it was once written: ids and counts from np.unique, a second sort."""
+    ids, sizes = np.unique(balls, return_counts=True)
+    return ids, sizes, np.argsort(balls, kind="stable")
+
+
+@given(st.one_of(st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+                 st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=60)))
+@example([9, 7, 7, 4, 2, 2, 2, 0, -1, -5])  # descending
+@example([-3, -9, -3, -1, -9, -2**63])  # negative
+@example([5])  # a single id
+@example([6, 6, 6, 6])  # one ball
+@example([4, -2, 2**63 - 1, 0])  # each id once
+@settings(max_examples=200, deadline=None)
+def test_groups_equal_the_unique_form_bit_for_bit(balls):
+    column = np.array(balls, dtype=np.int64)
+    for got, want in zip(_groups(column), _groups_by_unique(column), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def _by_size_reference(groups):
     """The dict loop _by_size once ran: per distinct size, the positions of its
     balls among the ids ascending, and their members as a (balls x size) array."""
@@ -178,7 +197,7 @@ def test_blocks_and_means_match_the_dict_oracles(seed, balls, scale, v):
     # each ball's rows interleaved with the others' in file order; ids unsorted, some negative
     column = rng.permutation(np.repeat(np.array(ids, dtype=np.int64), counts))
     groups = _groups_reference(column)
-    _, sizes, rows = triple = summary._groups(column)
+    _, sizes, rows = triple = _groups(column)
     assert [a.tolist() for a in triple] == [a.tolist() for a in _as_groups(groups)]
     assert sizes.dtype == np.intp
 
@@ -315,7 +334,7 @@ class TestBallSummary:
             vals = np.sort(member_vals)
             want = (ball, float(member_vals.mean()),
                     float(member_vals.std(ddof=1)) if len(vals) > 1 else None,
-                    float(vals[0]), *(summary.quantile(vals, p) for p in (25, 50, 75)),
+                    float(vals[0]), *(quantile(vals, p) for p in (25, 50, 75)),
                     float(vals[-1]), len(vals))
             have = (row.ball, row.mean, row.sd, row.min, row.q25, row.q50, row.q75, row.max,
                     row.size)
@@ -542,14 +561,14 @@ def _read_plain_merged(path, names):
     holds the names' columns alone, and no refused cell."""
     plain = point_cloud._read_plain(path, names, merged=True)
     assert plain is None or (set(plain[2]) == set(names) and plain[3] == {})
-    return plain and (summary._groups(plain[1]), plain[2])
+    return plain and (_groups(plain[1]), plain[2])
 
 
 def _read_streamed_merged(path, names):
     """The streamed reader's result for a merged file as (groups, columns); no cell refused."""
     _, ids, columns, bad = point_cloud._read_streamed(path, names, merged=True)
     assert bad == dict.fromkeys(names)
-    return summary._groups(ids), columns
+    return _groups(ids), columns
 
 
 def _merged_file(tmp_path, change):
