@@ -47,8 +47,7 @@ def _write_results_csv(path, graph, positions):
     ]
     lines += [f"edge,,{xy[source]},,,,{source},{target},{xy[target]},{shared}\n"
               for source, target, shared in zip(*graph.edges.T.tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.writelines(lines)
+    _write_text(path, "".join(lines))
 
 
 def _write_merged_csv(path, table, cover):

@@ -10,11 +10,9 @@ import numpy as np
 from .cover import BallCover
 from .errors import ValidationError
 from .point_cloud import _ball_means, _by_size, _groups
+from .render import MAX_BIN_COUNT
 
 DEFAULT_BIN_COUNT = 8
-# The legend rows that fit the graph canvas, by render's _LEGEND_TOP,
-# _LEGEND_PITCH and _SWATCH: a 31st row's swatch would end at y 644, past 640.
-MAX_BIN_COUNT = 30
 
 
 @dataclass(frozen=True)

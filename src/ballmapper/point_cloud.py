@@ -112,9 +112,7 @@ def _held_column(raw: RawTable, name: str, rows: np.ndarray) -> np.ndarray:
     held = np.zeros(len(col), dtype=bool)
     held[rows] = True
     bad = _first_refused(raw.rows, j, np.where(held, col, 0.0))  # the first in a held row
-    if bad is not None:
-        _parse_cell(*bad, name)  # raises: the cell is refused
-    return col
+    return _checked_column(raw.column_names, name, {name: col}, {name: bad})
 
 
 def _column_position(names: tuple[str, ...], name: str) -> int:
@@ -400,9 +398,8 @@ def _checked_axes(header: tuple[str, ...], selection: Sequence[str], columns, ba
     if not len(columns[axes[0]]):
         raise ValidationError("the table has no data rows")
     refused = [(bad[a][1], k) for k, a in enumerate(axes) if bad.get(a) is not None]
-    if refused:
-        row, k = min(refused)  # the lowest row, then the first axis on it
-        _parse_cell(bad[axes[k]][0], row, axes[k])  # raises: the cell is refused
+    if refused:  # the lowest row, then the first axis on it: _checked_column raises
+        _checked_column(header, axes[min(refused)[1]], columns, bad)
     return axes, np.column_stack([columns[a] for a in axes])
 
 

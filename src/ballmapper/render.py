@@ -34,8 +34,9 @@ SVG_OPEN = (
     f'viewBox="0 0 {WIDTH} {HEIGHT}">'
 )
 BACKGROUND_RECT = f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>'
-# the legend's rows: a 14 px swatch every 20 px from y 30; graph.MAX_BIN_COUNT fit
+# the legend's rows: a 14 px swatch every 20 px from y 30, as many as fit the canvas
 _LEGEND_TOP, _LEGEND_PITCH, _SWATCH = 30, 20, 14
+MAX_BIN_COUNT = (HEIGHT - _LEGEND_TOP - _SWATCH) // _LEGEND_PITCH + 1
 
 
 def _document(parts: list[str]) -> str:

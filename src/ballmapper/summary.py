@@ -7,7 +7,6 @@ undefined and serializes as an empty CSV field, never 0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -22,23 +21,13 @@ from .point_cloud import write_cells
 if TYPE_CHECKING:  # annotations only: a summary of a merged file loads no cover module
     from .cover import BallCover
 
-_INTEGRAL_TOL = 1e-9
 
-
-def _order_statistics(n: int, p: float) -> tuple[int, int]:
-    """The 0-based positions of the two order statistics _quantiles averages (equal if one)."""
-    h = n * p / 100.0
-    rounded = round(h)
-    if abs(h - rounded) < _INTEGRAL_TOL and rounded >= 1:
-        return (n - 1, n - 1) if rounded >= n else (rounded - 1, rounded)
-    return math.ceil(h) - 1, math.ceil(h) - 1
-
-
-def _quantiles(rows: np.ndarray, p: float) -> np.ndarray:
-    """The p-th percentile, p in (0, 100), of each row of a (balls x size) array of
-    ascending rows. With h = size * p / 100: if h is an integer, the average of the
-    h-th and (h+1)-th order statistics; otherwise the ceil(h)-th order statistic."""
-    i, j = _order_statistics(rows.shape[1], p)
+def _quantiles(rows: np.ndarray, p: int) -> np.ndarray:
+    """The p-th percentile, p an integer in (0, 100), of each row of a (balls x size)
+    array of ascending rows. With h = size * p / 100: if h is an integer, the average of
+    the h-th and (h+1)-th order statistics; otherwise the ceil(h)-th order statistic."""
+    h, r = divmod(rows.shape[1] * p, 100)  # size * p / 100 is h + r / 100, exactly
+    i, j = (h - 1, h) if r == 0 else (h, h)
     a, b = rows[:, i], rows[:, j]  # a == b gives a, by either rule
     mid = (a + b) / 2.0
     # halving first cannot overflow, but rounds subnormals: 5e-324 twice gives 0

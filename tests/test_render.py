@@ -135,6 +135,17 @@ class TestRenderGraphSvg:
         assert last == render._LEGEND_TOP + (MAX_BIN_COUNT - 1) * render._LEGEND_PITCH
         assert last + render._LEGEND_PITCH + render._SWATCH == 644 > render.HEIGHT
 
+    def test_most_bins_is_the_legend_rows_that_fit_the_canvas(self):
+        assert MAX_BIN_COUNT is render.MAX_BIN_COUNT  # graph's, imported above
+        ends = []
+        for bins in (MAX_BIN_COUNT, MAX_BIN_COUNT + 1):  # the last row, then one more
+            scale = bm.ColorScale(tuple(float(b) for b in range(bins + 1)))
+            rows = _legend(scale, _palette(bins))[1:]  # after the title
+            swatches = [ET.fromstring(row.split("\n")[0]) for row in rows]
+            assert len(swatches) == bins
+            ends.append(max(float(el.get("y")) + float(el.get("height")) for el in swatches))
+        assert ends[0] <= render.HEIGHT < ends[1]
+
     def test_positions_must_cover_nodes(self, line_cover):
         g = bm.build_graph(line_cover)
         with pytest.raises(ValueError, match="position"):

@@ -36,10 +36,23 @@ def quantile(values, p):
         return float(summary._quantiles(np.asarray(values, dtype=float)[None, :], p)[0])
 
 
+_INTEGRAL_TOL = 1e-9
+
+
+def order_statistics_reference(n, p):
+    """The 0-based positions of the two order statistics _quantiles averages (equal if
+    one), as they were found before exact integer division: with a float tolerance."""
+    h = n * p / 100.0
+    rounded = round(h)
+    if abs(h - rounded) < _INTEGRAL_TOL and rounded >= 1:
+        return (n - 1, n - 1) if rounded >= n else (rounded - 1, rounded)
+    return math.ceil(h) - 1, math.ceil(h) - 1
+
+
 def quantile_reference(values, p):
     """The scalar quantile's code before it called _quantiles: the averaging rule on
     Python floats, halving first where the sum overflows."""
-    i, j = summary._order_statistics(len(values), p)
+    i, j = order_statistics_reference(len(values), p)
     if i == j:
         return float(values[i])
     a, b = float(values[i]), float(values[j])
@@ -99,6 +112,15 @@ class TestQuantile:
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
         scalar = [quantile(row, p) for row in rows.tolist()]
         assert np.array(scalar).view(np.int64).tolist() == got.view(np.int64).tolist()
+
+    def test_integer_positions_equal_the_float_tolerance_rule(self):
+        # over the row 0, 2, 4, ... the average of positions i and j is i + j,
+        # which names them, since j is i or i + 1
+        for size in range(1, 2001):
+            row = np.arange(0.0, 2.0 * size, 2.0)[None, :]
+            got = [summary._quantiles(row, p)[0] for p in range(1, 100)]
+            want = [sum(order_statistics_reference(size, p)) for p in range(1, 100)]
+            assert got == want, size
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=120))
     @settings(max_examples=200, deadline=None)
